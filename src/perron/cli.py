@@ -24,7 +24,7 @@ from .search import (
     verify_case_c_le_2,
     verify_case_odd_diagonal,
 )
-from .spectral import ham_song_check, largest_real_root
+from .spectral import _ham_song, largest_real_root
 
 DEFAULT_ROOT_TOL = Fraction(1, 10**10)
 
@@ -81,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--max-c", type=int, required=True)
     p.add_argument("--max-m", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--format", choices=["text", "json"], default="text")
 
     p = sub.add_parser("fixture", help="emit a stored fixture digraph")
@@ -97,6 +97,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def _read_digraph(path: str):
     with open(path, encoding="utf-8") as fh:
         return parse_digraph(fh.read())
+
+
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return n
 
 
 def _tol(arg) -> Fraction:
@@ -163,9 +170,7 @@ def _cmd_search(args, out):
 
 def _cmd_hamsong(args, out):
     d = _read_digraph(args.digraph_file)
-    tol = _tol(args.tol)
-    holds = ham_song_check(d, tol)
-    lam = largest_real_root(char_poly_ct(d), tol)
+    holds, lam = _ham_song(d, _tol(args.tol))
     print(
         f"c = {complexity(d)}, m = {d.m}, lambda = {lam.decimal(5)}, "
         f"c <= lambda^m - 1: {'true' if holds else 'false'}",

@@ -89,10 +89,6 @@ class MultiDigraph:
                 grid[perm[i]][perm[j]] = self.rows[i][j]
         return MultiDigraph.from_rows(grid)
 
-    def transpose(self) -> "MultiDigraph":
-        m = self.m
-        return MultiDigraph.from_rows([[self.rows[j][i] for j in range(m)] for i in range(m)])
-
 
 @dataclass(frozen=True)
 class Cycle:

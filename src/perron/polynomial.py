@@ -170,10 +170,9 @@ def to_fraction(x) -> Fraction:
     """Exact conversion of int/float/str/Fraction tolerances and bounds."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
+    if isinstance(x, (int, float, str)):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            pass  # nan, inf and malformed text
     raise ParameterRangeError(f"cannot interpret {x!r} as an exact rational")

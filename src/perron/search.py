@@ -38,6 +38,7 @@ from .families import (
     ring_shape,
     ring_shape_with_through,
 )
+from .io import digraph_to_json_obj
 from .polynomial import (
     IntPolynomial,
     PalindromeClass,
@@ -48,9 +49,9 @@ from .polynomial import (
 )
 from .spectral import (
     RootResult,
+    _sign_at,
     count_roots_above,
     descartes_roots_above,
-    fast_bracket_at_least_one,
     largest_real_root,
 )
 
@@ -69,16 +70,11 @@ class SurvivorEntry:
     info: dict
 
     def to_json_obj(self):
-        rep = None
-        if self.representative is not None:
-            rep = {
-                "vertices": self.representative.m,
-                "edges": [[i + 1, j + 1, k] for i, j, k in self.representative.edges()],
-            }
+        rep = self.representative
         return {
             "polynomial": list(self.polynomial.coeffs),
             "pretty": format_polynomial(self.polynomial),
-            "representative": rep,
+            "representative": None if rep is None else digraph_to_json_obj(rep),
             "info": self.info,
         }
 
@@ -680,11 +676,6 @@ def _divides_monic(divisor: IntPolynomial, p: IntPolynomial) -> bool:
     return all(c == 0 for c in r[steps:])
 
 
-def _certified_largest_root(poly: IntPolynomial, tol) -> RootResult:
-    fast = fast_bracket_at_least_one(poly, tol)
-    return fast if fast is not None else largest_real_root(poly, tol)
-
-
 def _decide_candidate(task):
     """Compare one candidate polynomial against the genus bound bracket.
 
@@ -693,18 +684,16 @@ def _decide_candidate(task):
     """
     poly, bound_lo, bound_hi, bound_poly, tol = task
     if bound_lo is None:
-        lam = _certified_largest_root(poly, tol)
+        lam = largest_real_root(poly, tol)
         return "survivor", lam.lo, lam.hi
     if poly == bound_poly:
         return "survivor", bound_lo, bound_hi
-    if poly(bound_hi) < 0:
+    if _sign_at(poly.coeffs, bound_hi.numerator, bound_hi.denominator) < 0:
         return "eliminated", None, None  # a real root lies above the bound bracket
-    if descartes_roots_above(poly, bound_lo) == 0:
-        lam = _certified_largest_root(poly, tol)
-        return "survivor", lam.lo, lam.hi
-    above_lo = count_roots_above(poly, bound_lo)
+    # a Descartes count of 0 spares the Sturm count
+    above_lo = count_roots_above(poly, bound_lo) if descartes_roots_above(poly, bound_lo) else 0
     if above_lo == 0:
-        lam = _certified_largest_root(poly, tol)
+        lam = largest_real_root(poly, tol)
         return "survivor", lam.lo, lam.hi
     if count_roots_above(poly, bound_hi) >= 1:
         return "eliminated", None, None
@@ -714,6 +703,10 @@ def _decide_candidate(task):
     if above_lo == 1 and bound_poly is not None and _divides_monic(bound_poly, poly):
         return "survivor", bound_lo, bound_hi
     return "inconclusive", None, None
+
+
+def _build_c4_representative(parts, d: int) -> MultiDigraph:
+    return build_shape_nc(ring_shape_with_through(parts, d))
 
 
 def genus_candidates(
@@ -743,32 +736,30 @@ def genus_candidates(
     window_lo = 2 * g
     bound = hironaka_bound(g, tolf) if g >= 6 else None
 
-    candidates = []  # (poly, info dict, representative)
+    # (poly, info dict, representative builder, its arguments); only survivors
+    # get their representative built
+    candidates = []
     if c_max >= 2:
         for m in range(window_lo + window_lo % 2, window_hi + 1, 2):
             d = m // 2
             for a in range(1, d):
-                rep = build_shape_22(a, 2 * d - a, 1, d - 1) if d >= 2 else None
+                info = {"family": "lt", "d": d, "a": a, "m": m}
                 candidates.append(
-                    (lt_polynomial(d, a), {"family": "lt", "d": d, "a": a, "m": m}, rep)
+                    (lt_polynomial(d, a), info, build_shape_22, (a, 2 * d - a, 1, d - 1))
                 )
     if c_max >= 4:
         for m in range(window_lo + window_lo % 2, window_hi + 1, 2):
             d = m // 2
             for parts in _partitions_exact(2 * d, 4, 2):
-                rep = build_shape_nc(ring_shape_with_through(parts, d))
+                info = {"family": "c4", "d": d, "a": list(parts), "m": m}
                 candidates.append(
-                    (
-                        c4_polynomial(d, parts),
-                        {"family": "c4", "d": d, "a": list(parts), "m": m},
-                        rep,
-                    )
+                    (c4_polynomial(d, parts), info, _build_c4_representative, (parts, d))
                 )
 
     bound_lo = bound.bound.lo if bound is not None else None
     bound_hi = bound.bound.hi if bound is not None else None
     bound_poly = lt_polynomial(bound.d, bound.a) if bound is not None else None
-    tasks = [(poly, bound_lo, bound_hi, bound_poly, tolf) for poly, _, _ in candidates]
+    tasks = [(poly, bound_lo, bound_hi, bound_poly, tolf) for poly, *_ in candidates]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_decide_candidate, tasks, chunksize=32))
@@ -778,13 +769,13 @@ def genus_candidates(
     survivors = []
     eliminated = {"lambda_above_bound": 0}
     inconclusive = 0
-    for (poly, info, rep), (status, lam_lo, lam_hi) in zip(candidates, results):
+    for (poly, info, build, args), (status, lam_lo, lam_hi) in zip(candidates, results):
         if status == "survivor":
             lam = RootResult(lam_lo, lam_hi)
             entry_info = dict(info)
             entry_info["lambda"] = lam.decimal(5)
             entry_info["m_minus_2g"] = info["m"] - 2 * g
-            survivors.append(SurvivorEntry(poly, rep, entry_info))
+            survivors.append(SurvivorEntry(poly, build(*args), entry_info))
         elif status == "eliminated":
             eliminated["lambda_above_bound"] += 1
         else:

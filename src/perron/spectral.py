@@ -19,7 +19,7 @@ from .errors import (
     ParameterRangeError,
     RefinementLimitError,
 )
-from .polynomial import IntPolynomial, to_fraction
+from .polynomial import IntPolynomial, eval_at_one, to_fraction
 
 DEFAULT_TOL = Fraction(1, 10**10)
 _SEPARATION_FLOOR = Fraction(1, 10**15)
@@ -96,14 +96,16 @@ def _divmod_q(a, b):
     r = [Fraction(c) for c in a]
     db = len(b) - 1
     lb = Fraction(b[0])
+    quotient = []
     while len(r) - 1 >= db:
         f = r[0] / lb
+        quotient.append(f)
         for k in range(1, db + 1):
             r[k] -= f * b[k]
         r.pop(0)
         if not r:
             break
-    return r
+    return quotient, r
 
 
 def _fractions_to_primitive_int(fr):
@@ -125,8 +127,7 @@ def _poly_gcd(a, b):
     a = _primitive(a)
     b = _primitive(b)
     while b:
-        r = _fractions_to_primitive_int(_divmod_q(a, b))
-        a, b = b, r
+        a, b = b, _fractions_to_primitive_int(_divmod_q(a, b)[1])
     if a and a[0] < 0:
         a = [-c for c in a]
     return a
@@ -140,19 +141,9 @@ def _squarefree(cs):
     g = _poly_gcd(cs, _derivative(cs))
     if len(g) == 1:
         return cs if cs[0] > 0 else [-c for c in cs]
-    # exact division: remainder must vanish
-    q = [Fraction(c) for c in cs]
-    out = []
-    dg = len(g) - 1
-    lg = Fraction(g[0])
-    while len(q) - 1 >= dg:
-        f = q[0] / lg
-        out.append(f)
-        for k in range(1, dg + 1):
-            q[k] -= f * g[k]
-        q.pop(0)
-    assert all(c == 0 for c in q)
-    ints = _fractions_to_primitive_int(out)
+    quotient, remainder = _divmod_q(cs, g)
+    assert not any(remainder)  # g divides cs exactly
+    ints = _fractions_to_primitive_int(quotient)
     return ints if ints[0] > 0 else [-c for c in ints]
 
 
@@ -164,7 +155,7 @@ def _sturm_chain(cs):
     """
     chain = [list(cs), _primitive(_derivative(cs))]
     while len(chain[-1]) > 1:
-        r = _fractions_to_primitive_int(_divmod_q(chain[-2], chain[-1]))
+        r = _fractions_to_primitive_int(_divmod_q(chain[-2], chain[-1])[1])
         if not r:
             break
         chain.append([-c for c in r])
@@ -213,18 +204,29 @@ def _cauchy_bound(p: IntPolynomial) -> int:
 def largest_real_root(p: IntPolynomial, tol=DEFAULT_TOL) -> RootResult:
     """Certified bracket of width <= tol around the largest real root in [1, oo).
 
-    Bisects on exact Sturm counts from the Cauchy bound down to an isolating
-    interval, then on exact signs; raises NoRootAtLeastOne when the
-    sign-variation certificate shows no real root >= 1.
+    Tries ``fast_bracket_at_least_one`` first and, when its certificate fails,
+    bisects on exact Sturm counts; raises NoRootAtLeastOne when those show no
+    real root >= 1.  Both routes give the same bracket.
     """
     if p.degree < 1:
         raise ParameterRangeError("largest_real_root needs degree >= 1")
     if not p.is_monic:
         raise ParameterRangeError("largest_real_root expects a monic polynomial")
+    tolf = _positive_tol(tol)
+    fast = fast_bracket_at_least_one(p, tolf)
+    return fast if fast is not None else _sturm_bracket(p, tolf)
+
+
+def _positive_tol(tol) -> Fraction:
     tolf = to_fraction(tol)
     if tolf <= 0:
         raise ParameterRangeError("tolerance must be positive")
+    return tolf
 
+
+def _sturm_bracket(p: IntPolynomial, tolf: Fraction) -> RootResult:
+    """Bisection on exact Sturm counts from the Cauchy bound down to an
+    isolating interval, then on exact signs; p is monic of degree >= 1."""
     U = _cauchy_bound(p)
     q = _squarefree(p.coeffs)
     chain = _sturm_chain(q)
@@ -276,30 +278,33 @@ def largest_real_root(p: IntPolynomial, tol=DEFAULT_TOL) -> RootResult:
 
 
 def fast_bracket_at_least_one(p: IntPolynomial, tol) -> RootResult | None:
-    """Cheap certified bracket for the largest real root, for monic p with p(1) < 0.
+    """Certified bracket for the largest real root of a monic p with p(1) < 0,
+    or None when the certificate below fails.
 
-    Sign bisection from the Cauchy bound, then a Descartes shift certifying
-    that no real root lies above the bracket.  Returns None whenever the
-    certificate fails; callers fall back to the Sturm route.
+    Sign bisection of [1, U], U the Cauchy bound, on the dyadic grid: lo and
+    hi are a/2^k and b/2^k, and only integer signs are computed.  The result
+    is certified when the Descartes count above lo is exactly 1: the one root
+    above lo is then simple and the largest, and every visited interval holds
+    it, so the Sturm route visits the same intervals and returns this bracket.
     """
-    if not p.is_monic or p.degree < 1 or p(1) >= 0:
+    if not p.is_monic or p.degree < 1 or eval_at_one(p) >= 0:
         return None
-    tolf = to_fraction(tol)
-    lo = Fraction(1)
-    hi = Fraction(_cauchy_bound(p))
-    while hi - lo > tolf:
-        mid = (lo + hi) / 2
-        s = _sign_at(p.coeffs, mid.numerator, mid.denominator)
+    tn, td = _positive_tol(tol).as_integer_ratio()
+    a, b, k = 1, _cauchy_bound(p), 0
+    while (b - a) * td > tn << k:
+        mid = a + b
+        a, b, k = 2 * a, 2 * b, k + 1
+        s = _sign_at(p.coeffs, mid, 1 << k)
         if s == 0:
-            if descartes_roots_above(p, mid) == 0:
-                return RootResult(mid, mid, 0, 0)
-            return None
+            x = Fraction(mid, 1 << k)
+            return RootResult(x, x, 0, 0) if descartes_roots_above(p, x) == 0 else None
         if s < 0:
-            lo = mid
+            a = mid
         else:
-            hi = mid
-    if descartes_roots_above(p, hi) == 0:
-        return RootResult(lo, hi, -1, 1)
+            b = mid
+    lo = Fraction(a, 1 << k)
+    if descartes_roots_above(p, lo) == 1:
+        return RootResult(lo, Fraction(b, 1 << k), -1, 1)
     return None
 
 
@@ -322,9 +327,7 @@ def pf_eigenvalue(d: MultiDigraph, tol=DEFAULT_TOL, max_iter: int = 500_000) -> 
     """
     if not is_primitive(d):
         raise ParameterRangeError("pf_eigenvalue requires a primitive digraph")
-    tolf = to_fraction(tol)
-    if tolf <= 0:
-        raise ParameterRangeError("tolerance must be positive")
+    tolf = _positive_tol(tol)
     m = d.m
     rows = d.rows
     v = [1] * m
@@ -355,6 +358,11 @@ def ham_song_check(d: MultiDigraph, tol=DEFAULT_TOL) -> bool:
     True and False are both certified by the exact bracket; when the bracket
     straddles the threshold the answer is Inconclusive at this tolerance.
     """
+    return _ham_song(d, tol)[0]
+
+
+def _ham_song(d: MultiDigraph, tol) -> tuple[bool, RootResult]:
+    """The verdict of ``ham_song_check`` and the root bracket it rests on."""
     if not is_primitive(d):
         raise ParameterRangeError("ham_song_check requires a primitive digraph")
     c = complexity(d)
@@ -362,14 +370,12 @@ def ham_song_check(d: MultiDigraph, tol=DEFAULT_TOL) -> bool:
     m = d.m
     lo_bound = bracket.lo**m - 1
     hi_bound = bracket.hi**m - 1
-    if c <= lo_bound:
-        return True
-    if c > hi_bound:
-        return False
-    raise Inconclusive(
-        f"complexity {c} falls inside the bracket [{lo_bound}, {hi_bound}] "
-        f"for lambda^m - 1; tighten the tolerance"
-    )
+    if lo_bound < c <= hi_bound:
+        raise Inconclusive(
+            f"complexity {c} falls inside the bracket [{lo_bound}, {hi_bound}] "
+            f"for lambda^m - 1; tighten the tolerance"
+        )
+    return c <= lo_bound, bracket
 
 
 def monotonicity_witness(

@@ -136,6 +136,14 @@ def test_cli_root_no_root():
     assert err.startswith("error: no-root-at-least-one:")
 
 
+def test_cli_root_bad_tolerance():
+    for tol in ("abc", "nan"):
+        code, out, err = invoke("root", "x^2 - x - 1", "--tol", tol)
+        assert code == 1 and out == ""
+        assert err.startswith("error: parameter-range:")
+        assert err.count("\n") == 1
+
+
 def test_cli_lt_and_c4():
     code, out, _ = invoke("lt", "7", "6")
     assert code == 0 and out == "x^14 - x^8 - x^7 - x^6 + 1\n"
@@ -190,6 +198,12 @@ def test_cli_search():
     code, out, _ = invoke("search", "--genus", "5", "--max-c", "2", "--max-m", "14")
     assert code == 0
     assert "x^14 - x^8 - x^7 - x^6 + 1" in out
+
+
+def test_cli_search_rejects_nonpositive_jobs():
+    for jobs in ("0", "-2", "two"):
+        code, out, _ = invoke("search", "--genus", "5", "--max-c", "2", "--jobs", jobs)
+        assert code == 2 and out == ""
 
 
 def test_cli_fixture():

@@ -9,7 +9,7 @@ from perron.errors import (
     NoRootAtLeastOne,
     ParameterRangeError,
 )
-from perron.families import build_shape_22, lt_polynomial
+from perron.families import build_shape_22, c4_polynomial, lt_polynomial
 from perron.fixtures import figure1
 from perron.polynomial import IntPolynomial, parse_polynomial
 from perron.spectral import (
@@ -20,6 +20,7 @@ from perron.spectral import (
     largest_real_root,
     monotonicity_witness,
     pf_eigenvalue,
+    _sturm_bracket,
 )
 
 from conftest import random_primitive_digraph
@@ -84,6 +85,8 @@ def test_rejects_bad_inputs():
         largest_real_root(IntPolynomial((2, 0, -1)), TOL)
     with pytest.raises(ParameterRangeError):
         largest_real_root(parse_polynomial("x^2 - 2"), 0)
+    with pytest.raises(ParameterRangeError):
+        fast_bracket_at_least_one(parse_polynomial("x^2 - 2"), 0)
 
 
 def test_bracket_certificates():
@@ -109,11 +112,42 @@ def test_repeated_largest_root_is_bracketed():
 
 
 def test_fast_bracket_agrees_with_sturm_route():
-    for p in (lt_polynomial(7, 6), lt_polynomial(12, 11), lt_polynomial(30, 29)):
-        fast = fast_bracket_at_least_one(p, TOL)
-        slow = largest_real_root(p, TOL)
-        assert fast is not None
-        assert max(fast.lo, slow.lo) <= min(fast.hi, slow.hi)  # brackets overlap
+    polys = [lt_polynomial(d, a) for d, a in ((7, 6), (12, 11), (30, 29), (13, 7), (30, 1), (64, 9))]
+    polys += [
+        c4_polynomial(d, parts)
+        for d, parts in (
+            (6, (2, 4, 3, 3)),
+            (15, (5, 10, 2, 13)),
+            (30, (15, 15, 15, 15)),
+            (31, (7, 24, 12, 19)),
+            (48, (2, 46, 30, 18)),
+        )
+    ]
+    polys.append(parse_polynomial("x^2 - x - 2"))  # the bisection hits the root 2 exactly
+    for p in polys:
+        for tol in (TOL, Fraction(1, 10**10), Fraction(3, 1000)):
+            fast = fast_bracket_at_least_one(p, tol)
+            assert fast is not None
+            assert fast == _sturm_bracket(p, tol)  # lo, hi, sign_lo and sign_hi
+            assert largest_real_root(p, tol) == fast
+
+
+def test_fast_bracket_declines_and_sturm_route_answers():
+    cases = [
+        "x^3 - 3x^2 + 4",  # (x - 2)^2 (x + 1): p(1) >= 0
+        "x^3 - 6x^2 + 12x - 8",  # (x - 2)^3: repeated top root
+        "x^3 - 12x^2 + 44x - 48",  # (x - 2)(x - 4)(x - 6): the bisection hits 4 exactly
+        # (x - 10)^7 + 2(100(10 - x) - 1)^2: roots near 2.756 and a pair
+        # 9.99 -+ 7.1e-10, closer than the tolerance
+        "x^7 - 70x^6 + 2100x^5 - 35000x^4 + 350000x^3 - 2080000x^2 + 6600400x - 8003998",
+    ]
+    for text in cases:
+        p = parse_polynomial(text)
+        assert fast_bracket_at_least_one(p, TOL) is None
+        assert largest_real_root(p, TOL) == _sturm_bracket(p, TOL)
+    close_pair = largest_real_root(parse_polynomial(cases[3]), TOL)
+    assert count_roots_above(parse_polynomial(cases[3]), close_pair.lo) == 1
+    assert close_pair.lo > Fraction(999, 100)
 
 
 def test_descartes_counts():
