@@ -60,14 +60,22 @@ class GenusBound:
     bound: RootResult
 
 
+def two_cycle_polynomial(a1: int, a2: int, a3: int) -> IntPolynomial:
+    """x^m - x^{m-a1} - x^{a1} - x^{m-a3} + 1 with m = a1 + a2, colliding
+    exponents summed: the characteristic polynomial of two cycles of lengths
+    a1, a2 joined both ways by a through-cycle of length a3."""
+    m = a1 + a2
+    terms: dict[int, int] = {}
+    for e, c in ((m, 1), (m - a1, -1), (a1, -1), (m - a3, -1), (0, 1)):
+        terms[e] = terms.get(e, 0) + c
+    return IntPolynomial.from_terms(m, terms)
+
+
 def lt_polynomial(d: int, a: int) -> IntPolynomial:
     """x^{2d} - x^{2d-a} - x^d - x^a + 1 for 1 <= a <= d-1; always palindromic."""
     if not (isinstance(d, int) and isinstance(a, int) and 1 <= a <= d - 1):
         raise ParameterRangeError(f"lt_polynomial needs 1 <= a <= d-1, got d={d}, a={a}")
-    terms = {2 * d: 1, 0: 1}
-    for e in (2 * d - a, d, a):
-        terms[e] = terms.get(e, 0) - 1
-    return IntPolynomial.from_terms(2 * d, terms)
+    return two_cycle_polynomial(a, 2 * d - a, d)
 
 
 def c4_polynomial(d: int, a_vec) -> IntPolynomial:
@@ -106,7 +114,7 @@ def build_shape_22(a1: int, a2: int, p: int, q: int) -> MultiDigraph:
 
     The through-cycle runs over p vertices of the first cycle and q of the
     second (so its length is p + q).  The characteristic polynomial is
-    x^m - x^{m-a1} - x^{a1} - x^{m-p-q} + 1 with m = a1 + a2.
+    ``two_cycle_polynomial(a1, a2, p + q)``.
     """
     if a1 < 1 or a2 < 1:
         raise ParameterRangeError(f"cycle lengths must be >= 1, got ({a1}, {a2})")
@@ -114,16 +122,7 @@ def build_shape_22(a1: int, a2: int, p: int, q: int) -> MultiDigraph:
         raise ParameterRangeError(
             f"need 1 <= p <= a1 and 1 <= q <= a2, got p={p}, q={q} for ({a1}, {a2})"
         )
-    m = a1 + a2
-    grid = [[0] * m for _ in range(m)]
-    for i in range(a1):
-        grid[i][(i + 1) % a1] += 1
-    for i in range(a2):
-        grid[a1 + i][a1 + (i + 1) % a2] += 1
-    # through-cycle: 0 .. p-1 on the first cycle, a1 .. a1+q-1 on the second
-    grid[p - 1][a1] += 1
-    grid[a1 + q - 1][0] += 1
-    return MultiDigraph.from_rows(grid)
+    return build_shape_nc(ring_shape((a1, a2), (p - 1, q - 1)))
 
 
 def build_shape_nc(shape: Shape) -> MultiDigraph:

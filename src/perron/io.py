@@ -18,18 +18,21 @@ def parse_digraph(text: str) -> MultiDigraph:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        fields = line.split()
+        try:
+            fields = [int(f) for f in line.split()]
+        except ValueError:
+            raise ParameterRangeError(f"line {lineno}: expected integers, got {line!r}") from None
         if m is None:
             if len(fields) != 1:
                 raise ParameterRangeError(f"line {lineno}: expected the vertex count alone")
-            m = int(fields[0])
+            m = fields[0]
             if m < 1:
                 raise ParameterRangeError(f"line {lineno}: vertex count must be >= 1")
             continue
         if len(fields) not in (2, 3):
             raise ParameterRangeError(f"line {lineno}: expected 'i j' or 'i j k'")
-        i, j = int(fields[0]), int(fields[1])
-        k = int(fields[2]) if len(fields) == 3 else 1
+        i, j = fields[0], fields[1]
+        k = fields[2] if len(fields) == 3 else 1
         if not (1 <= i <= m and 1 <= j <= m):
             raise ParameterRangeError(f"line {lineno}: vertex labels must be within 1..{m}")
         if k < 1:

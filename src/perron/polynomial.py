@@ -7,8 +7,12 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd
 
-from .errors import ParameterRangeError
+from .errors import ParameterRangeError, ResourceLimitError
+
+# far above every degree the sweeps and searches reach; guards the dense list
+MAX_DEGREE = 100_000
 
 
 @dataclass(frozen=True)
@@ -33,6 +37,10 @@ class IntPolynomial:
         """Build from an {exponent: coefficient} mapping; absent exponents are 0."""
         if degree < 0:
             raise ParameterRangeError("degree must be >= 0")
+        if degree > MAX_DEGREE:
+            raise ResourceLimitError(
+                f"degree {degree} exceeds the cap of {MAX_DEGREE}", estimate=degree
+            )
         coeffs = [0] * (degree + 1)
         for e, c in terms.items():
             if not (0 <= e <= degree):
@@ -176,3 +184,66 @@ def to_fraction(x) -> Fraction:
         except (ValueError, ZeroDivisionError, OverflowError):
             pass  # nan, inf and malformed text
     raise ParameterRangeError(f"cannot interpret {x!r} as an exact rational")
+
+
+# ---------------------------------------------------------------------------
+# integer coefficient-list helpers (descending order)
+# ---------------------------------------------------------------------------
+
+def _strip(cs):
+    i = 0
+    while i < len(cs) and cs[i] == 0:
+        i += 1
+    return cs[i:]
+
+
+def _primitive(cs):
+    """Divide by the coefficient content, keeping the sign."""
+    cs = _strip(cs)
+    if not cs:
+        return []
+    g = 0
+    for c in cs:
+        g = gcd(g, c)
+    return [c // g for c in cs]
+
+
+def _derivative(cs):
+    d = len(cs) - 1
+    return [c * (d - i) for i, c in enumerate(cs[:-1])]
+
+
+def _sign_at(cs, num: int, den: int) -> int:
+    """Sign of the polynomial at num/den, den > 0."""
+    acc = cs[0]
+    dp = 1
+    for c in cs[1:]:
+        dp *= den
+        acc = acc * num + c * dp
+    return (acc > 0) - (acc < 0)
+
+
+def _pdivmod(a, b):
+    """Integer pseudo-division, b[0] != 0: lists q, r with c*a = q*b + r,
+    len(r) < len(b) and c = |b[0]|^k > 0.
+
+    Each step scales the running remainder by |b[0]| only when its leading
+    term is nonzero, so division by a monic b is exact integer division and
+    the remainder and quotient differ from the rational ones by the positive
+    factor c alone.
+    """
+    lb = b[0]
+    scale, sign = abs(lb), (lb > 0) - (lb < 0)
+    r = list(a)
+    q = []
+    while len(r) >= len(b):
+        f = r.pop(0)
+        if f and scale != 1:
+            r = [scale * c for c in r]
+            q = [scale * c for c in q]
+        f *= sign
+        q.append(f)
+        if f:
+            for k in range(1, len(b)):
+                r[k - 1] -= f * b[k]
+    return q, r

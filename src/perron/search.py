@@ -37,11 +37,14 @@ from .families import (
     lt_polynomial,
     ring_shape,
     ring_shape_with_through,
+    two_cycle_polynomial,
 )
 from .io import digraph_to_json_obj
 from .polynomial import (
     IntPolynomial,
     PalindromeClass,
+    _pdivmod,
+    _sign_at,
     classify_palindrome,
     eval_at_one,
     format_polynomial,
@@ -49,7 +52,6 @@ from .polynomial import (
 )
 from .spectral import (
     RootResult,
-    _sign_at,
     count_roots_above,
     descartes_roots_above,
     largest_real_root,
@@ -228,23 +230,6 @@ def sweep_ring(n: int, m: int):
             yield lengths, exits, build_shape_nc(ring_shape(lengths, exits))
 
 
-def _eq5_polynomial(a1: int, a2: int, a3: int) -> IntPolynomial:
-    """x^m - x^{m-a1} - x^{a1} - x^{m-a3} + 1 with m = a1 + a2, collisions summed."""
-    m = a1 + a2
-    terms: dict[int, int] = {}
-    for e, c in ((m, 1), (m - a1, -1), (a1, -1), (m - a3, -1), (0, 1)):
-        terms[e] = terms.get(e, 0) + c
-    return IntPolynomial.from_terms(m, terms)
-
-
-def _lt_formula(d: int, a: int) -> IntPolynomial:
-    """The LT expression allowing the boundary a = d, where exponents collide."""
-    terms: dict[int, int] = {}
-    for e, c in ((2 * d, 1), (2 * d - a, -1), (d, -1), (a, -1), (0, 1)):
-        terms[e] = terms.get(e, 0) + c
-    return IntPolynomial.from_terms(2 * d, terms)
-
-
 # ---------------------------------------------------------------------------
 # case-analysis verification sweeps
 # ---------------------------------------------------------------------------
@@ -324,7 +309,7 @@ def verify_case_c_le_2(m_max: int) -> SearchReport:
             p = char_poly_ct(dg)
             _census_checks(dg, p)
             a3 = pp + qq
-            if p != _eq5_polynomial(a1, a2, a3):
+            if p != two_cycle_polynomial(a1, a2, a3):
                 raise CounterexampleError(
                     f"(2,2) shape ({a1},{a2},{pp},{qq}) violates the two-cycle formula"
                 )
@@ -339,7 +324,7 @@ def verify_case_c_le_2(m_max: int) -> SearchReport:
             if cls is PalindromeClass.PALINDROMIC:
                 d_half = m // 2
                 a = min(a1, a2)
-                if p != _lt_formula(d_half, a):
+                if p != two_cycle_polynomial(a, m - a, d_half):
                     raise CounterexampleError(
                         f"palindromic (2,2) shape ({a1},{a2},{pp},{qq}) outside the LT expressions"
                     )
@@ -357,7 +342,7 @@ def verify_case_c_le_2(m_max: int) -> SearchReport:
     expected = {}
     for d_half in range(2, m_max // 2 + 1):
         for a in range(1, d_half + 1):
-            expected[_lt_formula(d_half, a).coeffs] = (d_half, a)
+            expected[two_cycle_polynomial(a, 2 * d_half - a, d_half).coeffs] = (d_half, a)
     if set(palindromic) != set(expected):
         raise CounterexampleError("(2,2) palindromic survivor set mismatch")
     for coeffs, rec in palindromic.items():
@@ -646,8 +631,8 @@ def count_realizations(p: IntPolynomial, n: int, c: int, cap: int = ENUMERATION_
     """Isomorphism classes of strongly connected (n,c)-shape digraphs on
     degree(p) vertices whose characteristic polynomial equals p."""
     m = p.degree
-    if m > FULL_ENUMERATION_MAX_M:
-        raise ParameterRangeError(f"count_realizations is capped at degree {FULL_ENUMERATION_MAX_M}")
+    if not 1 <= m <= FULL_ENUMERATION_MAX_M:
+        raise ParameterRangeError(f"count_realizations needs degree 1..{FULL_ENUMERATION_MAX_M}")
     if p.b(1) > 0:
         return 0  # b_1 = -trace(T) <= 0 for every digraph
     count = 0
@@ -660,21 +645,6 @@ def count_realizations(p: IntPolynomial, n: int, c: int, cap: int = ENUMERATION_
 # ---------------------------------------------------------------------------
 # genus candidate search
 # ---------------------------------------------------------------------------
-
-def _divides_monic(divisor: IntPolynomial, p: IntPolynomial) -> bool:
-    """Exact divisibility test by a monic integer polynomial."""
-    if not divisor.is_monic or divisor.degree > p.degree:
-        return False
-    r = list(p.coeffs)
-    dc = divisor.coeffs
-    steps = p.degree - divisor.degree + 1
-    for i in range(steps):
-        f = r[i]
-        if f:
-            for k in range(1, len(dc)):
-                r[i + k] -= f * dc[k]
-    return all(c == 0 for c in r[steps:])
-
 
 def _decide_candidate(task):
     """Compare one candidate polynomial against the genus bound bracket.
@@ -700,7 +670,7 @@ def _decide_candidate(task):
     # the only roots at or above bound_lo sit inside the bound bracket; when the
     # bound polynomial divides the candidate and that root is unique, the largest
     # roots coincide exactly
-    if above_lo == 1 and bound_poly is not None and _divides_monic(bound_poly, poly):
+    if above_lo == 1 and not any(_pdivmod(poly.coeffs, bound_poly.coeffs)[1]):
         return "survivor", bound_lo, bound_hi
     return "inconclusive", None, None
 

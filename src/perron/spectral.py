@@ -1,8 +1,9 @@
 """Certified brackets for the largest real root >= 1, Perron eigenvalue iteration,
 the complexity bound check, and spectral monotonicity witnesses.
 
-Everything here evaluates polynomials in exact rational arithmetic; floating
-point only appears when a bracket is rendered as a decimal string.
+Every polynomial sign here is an exact integer computation at a rational
+point; floating point only appears when a bracket is rendered as a decimal
+string.
 """
 
 from __future__ import annotations
@@ -19,7 +20,15 @@ from .errors import (
     ParameterRangeError,
     RefinementLimitError,
 )
-from .polynomial import IntPolynomial, eval_at_one, to_fraction
+from .polynomial import (
+    IntPolynomial,
+    _derivative,
+    _pdivmod,
+    _primitive,
+    _sign_at,
+    eval_at_one,
+    to_fraction,
+)
 
 DEFAULT_TOL = Fraction(1, 10**10)
 _SEPARATION_FLOOR = Fraction(1, 10**15)
@@ -64,70 +73,12 @@ class RootResult:
         return f"{sign}{n // 10**digits}.{n % 10**digits:0{digits}d}"
 
 
-# ---------------------------------------------------------------------------
-# integer polynomial helpers (descending coefficient lists)
-# ---------------------------------------------------------------------------
-
-def _strip(cs):
-    i = 0
-    while i < len(cs) and cs[i] == 0:
-        i += 1
-    return cs[i:]
-
-
-def _primitive(cs):
-    """Divide by the coefficient content, keeping the sign."""
-    cs = _strip(cs)
-    if not cs:
-        return []
-    g = 0
-    for c in cs:
-        g = gcd(g, c)
-    return [c // g for c in cs]
-
-
-def _derivative(cs):
-    d = len(cs) - 1
-    return [c * (d - i) for i, c in enumerate(cs[:-1])]
-
-
-def _divmod_q(a, b):
-    """Quotient and remainder of integer lists over Q (descending order)."""
-    r = [Fraction(c) for c in a]
-    db = len(b) - 1
-    lb = Fraction(b[0])
-    quotient = []
-    while len(r) - 1 >= db:
-        f = r[0] / lb
-        quotient.append(f)
-        for k in range(1, db + 1):
-            r[k] -= f * b[k]
-        r.pop(0)
-        if not r:
-            break
-    return quotient, r
-
-
-def _fractions_to_primitive_int(fr):
-    """Scale a rational list by a positive constant into a primitive integer list."""
-    fr = [Fraction(c) for c in fr]
-    while fr and fr[0] == 0:
-        fr.pop(0)
-    if not fr:
-        return []
-    den = 1
-    for c in fr:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in fr]
-    return _primitive(ints)
-
-
 def _poly_gcd(a, b):
     """Primitive gcd with positive leading coefficient."""
     a = _primitive(a)
     b = _primitive(b)
     while b:
-        a, b = b, _fractions_to_primitive_int(_divmod_q(a, b)[1])
+        a, b = b, _primitive(_pdivmod(a, b)[1])
     if a and a[0] < 0:
         a = [-c for c in a]
     return a
@@ -141,35 +92,26 @@ def _squarefree(cs):
     g = _poly_gcd(cs, _derivative(cs))
     if len(g) == 1:
         return cs if cs[0] > 0 else [-c for c in cs]
-    quotient, remainder = _divmod_q(cs, g)
+    quotient, remainder = _pdivmod(cs, g)
     assert not any(remainder)  # g divides cs exactly
-    ints = _fractions_to_primitive_int(quotient)
-    return ints if ints[0] > 0 else [-c for c in ints]
+    q = _primitive(quotient)
+    return q if q[0] > 0 else [-c for c in q]
 
 
 def _sturm_chain(cs):
     """Sturm chain of a squarefree integer polynomial.
 
-    Remainders are negated and rescaled by positive constants only, which
-    preserves the sign-variation property while keeping integer entries.
+    Pseudo-remainders are negated and divided by their content, which
+    rescales each by a positive constant only and so preserves the
+    sign-variation property while keeping integer entries.
     """
     chain = [list(cs), _primitive(_derivative(cs))]
     while len(chain[-1]) > 1:
-        r = _fractions_to_primitive_int(_divmod_q(chain[-2], chain[-1])[1])
+        r = _primitive(_pdivmod(chain[-2], chain[-1])[1])
         if not r:
             break
         chain.append([-c for c in r])
     return [c for c in chain if c]
-
-
-def _sign_at(cs, num: int, den: int) -> int:
-    """Sign of the polynomial at num/den, den > 0."""
-    acc = cs[0]
-    dp = 1
-    for c in cs[1:]:
-        dp *= den
-        acc = acc * num + c * dp
-    return (acc > 0) - (acc < 0)
 
 
 def _variations(chain, num: int, den: int) -> int:
@@ -226,55 +168,60 @@ def _positive_tol(tol) -> Fraction:
 
 def _sturm_bracket(p: IntPolynomial, tolf: Fraction) -> RootResult:
     """Bisection on exact Sturm counts from the Cauchy bound down to an
-    isolating interval, then on exact signs; p is monic of degree >= 1."""
+    isolating interval, then on exact signs; p is monic of degree >= 1.
+
+    The endpoints are a/2^k and b/2^k, so only integer signs are computed.
+    """
     U = _cauchy_bound(p)
     q = _squarefree(p.coeffs)
     chain = _sturm_chain(q)
 
-    v_at = lambda x: _variations(chain, x.numerator, x.denominator)
-    q_sign = lambda x: _sign_at(q, x.numerator, x.denominator)
-
-    one = Fraction(1)
-    v1 = v_at(one)
-    vU = v_at(Fraction(U))
-    if v1 - vU == 0:
-        if q_sign(one) == 0:
-            return RootResult(one, one, 0, 0)
+    v_lo, v_hi = _variations(chain, 1, 1), _variations(chain, U, 1)
+    if v_lo == v_hi:
+        if _sign_at(q, 1, 1) == 0:
+            return RootResult(Fraction(1), Fraction(1), 0, 0)
         raise NoRootAtLeastOne(f"no real root >= 1 for {p}")
 
-    lo, v_lo = one, v1
-    hi, v_hi = Fraction(U), vU
-    # phase 1: shrink until (lo, hi] holds exactly one root and none lie above hi
+    # phase 1: shrink until (lo, hi] holds exactly one root and none lie above
+    # hi; q(hi) != 0 throughout, since hi is U or a midpoint where q is nonzero
+    a, b, k = 1, U, 0
     while v_lo - v_hi > 1:
-        mid = (lo + hi) / 2
-        if q_sign(mid) == 0:
-            vm = v_at(mid)  # equals the count just right of mid
-            if vm == v_hi:
-                return RootResult(mid, mid, 0, 0)
-            lo, v_lo = mid, vm
+        mid = a + b
+        a, b, k = 2 * a, 2 * b, k + 1
+        vm = _variations(chain, mid, 1 << k)  # at a root of q, the count just right of it
+        if vm > v_hi:
+            a, v_lo = mid, vm
+        elif _sign_at(q, mid, 1 << k) == 0:
+            x = Fraction(mid, 1 << k)
+            return RootResult(x, x, 0, 0)
         else:
-            vm = v_at(mid)
-            if vm > v_hi:
-                lo, v_lo = mid, vm
-            else:
-                hi, v_hi = mid, vm
+            b = mid
     # phase 2: plain sign bisection inside the isolating interval
-    if q_sign(hi) == 0:
-        lo = max(lo, hi - tolf)
-    else:
-        while hi - lo > tolf:
-            mid = (lo + hi) / 2
-            s = q_sign(mid)
-            if s == 0:
-                lo = hi = mid
-                break
-            if s < 0:
-                lo = mid
-            else:
-                hi = mid
-    plo = p(lo)
-    phi = p(hi)
-    return RootResult(lo, hi, (plo > 0) - (plo < 0), (phi > 0) - (phi < 0))
+    a, b, k = _sign_bisection(q, a, b, k, tolf)
+    return RootResult(
+        Fraction(a, 1 << k),
+        Fraction(b, 1 << k),
+        _sign_at(p.coeffs, a, 1 << k),
+        _sign_at(p.coeffs, b, 1 << k),
+    )
+
+
+def _sign_bisection(cs, a: int, b: int, k: int, tolf: Fraction) -> tuple[int, int, int]:
+    """Halve [a/2^k, b/2^k] around the one sign change of cs inside it, from
+    negative to positive, until the width is <= tolf; returns (a, b, k), with
+    a == b when a midpoint is the root."""
+    tn, td = tolf.as_integer_ratio()
+    while (b - a) * td > tn << k:
+        mid = a + b
+        a, b, k = 2 * a, 2 * b, k + 1
+        s = _sign_at(cs, mid, 1 << k)
+        if s == 0:
+            return mid, mid, k
+        if s < 0:
+            a = mid
+        else:
+            b = mid
+    return a, b, k
 
 
 def fast_bracket_at_least_one(p: IntPolynomial, tol) -> RootResult | None:
@@ -289,20 +236,10 @@ def fast_bracket_at_least_one(p: IntPolynomial, tol) -> RootResult | None:
     """
     if not p.is_monic or p.degree < 1 or eval_at_one(p) >= 0:
         return None
-    tn, td = _positive_tol(tol).as_integer_ratio()
-    a, b, k = 1, _cauchy_bound(p), 0
-    while (b - a) * td > tn << k:
-        mid = a + b
-        a, b, k = 2 * a, 2 * b, k + 1
-        s = _sign_at(p.coeffs, mid, 1 << k)
-        if s == 0:
-            x = Fraction(mid, 1 << k)
-            return RootResult(x, x, 0, 0) if descartes_roots_above(p, x) == 0 else None
-        if s < 0:
-            a = mid
-        else:
-            b = mid
+    a, b, k = _sign_bisection(p.coeffs, 1, _cauchy_bound(p), 0, _positive_tol(tol))
     lo = Fraction(a, 1 << k)
+    if a == b:
+        return RootResult(lo, lo, 0, 0) if descartes_roots_above(p, lo) == 0 else None
     if descartes_roots_above(p, lo) == 1:
         return RootResult(lo, Fraction(b, 1 << k), -1, 1)
     return None

@@ -15,6 +15,7 @@ from perron.io import (
     format_digraph,
     parse_digraph,
 )
+from perron.polynomial import MAX_DEGREE
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -211,6 +212,31 @@ def test_cli_fixture():
     assert code == 0
     assert out == fixture_text("figure1")
     assert parse_digraph(out) == figure1()
+
+
+@pytest.mark.parametrize("command", ["charpoly", "hamsong"])
+@pytest.mark.parametrize("text", ["abc\n", "3\n1 2\n1 2 x\n"])
+def test_cli_non_integer_field(tmp_path, command, text):
+    path = tmp_path / "bad.dg"
+    path.write_text(text)
+    code, out, err = invoke(command, str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: parameter-range: line ")
+    assert err.count("\n") == 1
+
+
+def test_cli_count_rejects_constant_polynomial():
+    for poly in ("1", "[0]"):
+        code, out, err = invoke("count", poly, "--n", "1", "--c", "1")
+        assert code == 1 and out == ""
+        assert err.startswith("error: parameter-range:") and err.count("\n") == 1
+
+
+def test_cli_degree_cap():
+    for argv in (("root", f"x^{MAX_DEGREE + 1}"), ("lt", str(MAX_DEGREE // 2 + 1), "1")):
+        code, out, err = invoke(*argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: resource-limit:") and err.count("\n") == 1
 
 
 def test_cli_hamsong(fig1_path):

@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from perron.errors import ParameterRangeError
+from perron.errors import ParameterRangeError, ResourceLimitError
 from perron.polynomial import (
+    MAX_DEGREE,
     IntPolynomial,
     PalindromeClass,
     classify_palindrome,
@@ -12,6 +13,7 @@ from perron.polynomial import (
     format_coefficient_list,
     format_polynomial,
     parse_polynomial,
+    _pdivmod,
 )
 
 FIG1 = IntPolynomial((1, 0, 0, 0, 0, 0, -1, -1, -1, 0, 0, 0, 0, 0, 1))
@@ -100,6 +102,14 @@ def test_parse_rejects_garbage():
             parse_polynomial(bad)
 
 
+def test_degree_cap_is_checked_before_allocating():
+    with pytest.raises(ResourceLimitError) as exc:
+        IntPolynomial.from_terms(MAX_DEGREE + 1, {0: 1})
+    assert exc.value.estimate == MAX_DEGREE + 1
+    with pytest.raises(ResourceLimitError):
+        parse_polynomial(f"x^{MAX_DEGREE + 1} - 1")
+
+
 coeff_lists = st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=12)
 
 
@@ -121,3 +131,17 @@ def test_constructed_antipalindromes_classify_and_vanish(half):
     p = IntPolynomial(tuple(coeffs))
     assert classify_palindrome(p) is PalindromeClass.ANTIPALINDROMIC
     assert eval_at_one(p) == 0
+
+
+@given(coeff_lists, coeff_lists.filter(lambda cs: cs[0] != 0))
+def test_pseudo_division_identity(a, b):
+    # c*a = q*b + r with c = |lead(b)|^k > 0 and deg r < deg b, checked at
+    # more points than the degree of either side
+    q, r = _pdivmod(a, b)
+    assert len(r) < len(b)
+    ev = lambda cs, t: IntPolynomial(tuple(cs or [0]))(t)
+    points = range(len(a) + len(b))
+    assert any(
+        all(abs(b[0]) ** k * ev(a, t) == ev(q, t) * ev(b, t) + ev(r, t) for t in points)
+        for k in range(len(a) + 1)
+    )

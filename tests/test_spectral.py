@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -148,6 +149,36 @@ def test_fast_bracket_declines_and_sturm_route_answers():
     close_pair = largest_real_root(parse_polynomial(cases[3]), TOL)
     assert count_roots_above(parse_polynomial(cases[3]), close_pair.lo) == 1
     assert close_pair.lo > Fraction(999, 100)
+
+
+def _mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def test_sturm_counts_and_brackets_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rational = lambda q: sympy.Rational(q.numerator, q.denominator)
+    rng = random.Random(1971)
+    for trial in range(80):
+        f = [1] + [rng.randint(-4, 4) for _ in range(rng.randint(1, 6))]
+        if trial % 2:  # a squared factor: the squarefree part is a proper divisor
+            h = [1] + [rng.randint(-3, 3) for _ in range(rng.randint(1, 2))]
+            f = _mul(_mul(h, h), f)
+        p = IntPolynomial(tuple(f))
+        roots = list(dict.fromkeys(sympy.Poly(f, x).real_roots()))  # distinct, ascending
+        for t in (Fraction(-3, 2), Fraction(0), Fraction(1), Fraction(7, 5), Fraction(3)):
+            assert count_roots_above(p, t) == sum(1 for r in roots if r > rational(t)), (f, t)
+        if roots and roots[-1] >= 1:
+            b = largest_real_root(p, TOL)
+            assert rational(b.lo) <= roots[-1] <= rational(b.hi), f
+        else:
+            with pytest.raises(NoRootAtLeastOne):
+                largest_real_root(p, TOL)
 
 
 def test_descartes_counts():
