@@ -38,29 +38,33 @@ class LinearSubdigraph:
         return len(self.cycles)
 
 
-def _coeffs_from_rows(rows, cap: int) -> list[int]:
-    """Descending charpoly coefficients for a raw multiplicity grid.
+def _linear_subdigraph_census(rows, cap: int = SUBDIGRAPH_CAP_DEFAULT, size: int | None = -1):
+    """One walk over the linear subdigraphs of a raw multiplicity grid.
 
+    Returns ``(b, kept)``.  ``b`` is the descending charpoly coefficient list:
     b_i sums (-1)^(number of cycles) times the multiplicity product over all
-    i-vertex disjoint cycle unions; unions are built in increasing order of
-    their cycles' anchor (minimal) vertices so each one is seen exactly once.
+    i-vertex disjoint cycle unions.  ``kept`` lists the unions on ``size``
+    vertices (every union when ``size`` is None, none by default) as
+    ``(vertex tuples of the cycles, weight)``.  Unions are built in increasing
+    order of their cycles' anchor (minimal) vertices, so each one is seen
+    exactly once.
     """
     m = len(rows)
-    cycles = _weighted_cycles(rows, cap)
-    by_anchor: list[list[tuple[int, int, int]]] = [[] for _ in range(m)]
-    for mask, anchor, verts, weight in cycles:
-        by_anchor[anchor].append((mask, len(verts), weight))
+    by_anchor: list[list[tuple[int, tuple[int, ...], int, int]]] = [[] for _ in range(m)]
+    for mask, anchor, verts, weight in _weighted_cycles(rows, cap):
+        by_anchor[anchor].append((mask, verts, len(verts), weight))
 
     b = [0] * (m + 1)
     b[0] = 1
+    kept = []
     count = 0
 
-    def extend(next_anchor, mask, ncyc, nvert, wprod):
+    def extend(next_anchor, mask, nvert, signed, chosen):
         nonlocal count
         for a in range(next_anchor, m):
             if (mask >> a) & 1:
                 continue
-            for cmask, clen, w in by_anchor[a]:
+            for cmask, verts, clen, w in by_anchor[a]:
                 if cmask & mask:
                     continue
                 count += 1
@@ -68,14 +72,16 @@ def _coeffs_from_rows(rows, cap: int) -> list[int]:
                     raise ResourceLimitError(
                         f"linear subdigraph enumeration exceeds cap {cap}", estimate=count
                     )
-                n2 = ncyc + 1
                 v2 = nvert + clen
-                w2 = wprod * w
-                b[v2] += w2 if n2 % 2 == 0 else -w2
-                extend(a + 1, mask | cmask, n2, v2, w2)
+                s2 = -signed * w  # each further cycle flips the sign
+                b[v2] += s2
+                c2 = chosen + (verts,)
+                if size is None or v2 == size:
+                    kept.append((c2, abs(s2)))
+                extend(a + 1, mask | cmask, v2, s2, c2)
 
-    extend(0, 0, 0, 0, 1)
-    return b
+    extend(0, 0, 0, 1, ())
+    return b, kept
 
 
 def char_poly_ct(
@@ -84,7 +90,7 @@ def char_poly_ct(
     """Characteristic polynomial via the signed linear-subdigraph census."""
     if d.m > max_m:
         raise ParameterRangeError(f"char_poly_ct supports at most {max_m} vertices, got {d.m}")
-    return IntPolynomial(tuple(_coeffs_from_rows(d.rows, cap)))
+    return IntPolynomial(tuple(_linear_subdigraph_census(d.rows, cap)[0]))
 
 
 def enumerate_linear_subdigraphs(
@@ -96,36 +102,8 @@ def enumerate_linear_subdigraphs(
     """
     if d.m > CT_MAX_VERTICES:
         raise ParameterRangeError(f"supports at most {CT_MAX_VERTICES} vertices, got {d.m}")
-    m = d.m
-    by_anchor: list[list[tuple[int, tuple[int, ...], int]]] = [[] for _ in range(m)]
-    for mask, anchor, verts, weight in _weighted_cycles(d.rows, cap):
-        by_anchor[anchor].append((mask, verts, weight))
-
-    out: list[LinearSubdigraph] = []
-    count = 0
-
-    def extend(next_anchor, mask, chosen, nvert, wprod):
-        nonlocal count
-        for a in range(next_anchor, m):
-            if (mask >> a) & 1:
-                continue
-            for cmask, verts, w in by_anchor[a]:
-                if cmask & mask:
-                    continue
-                count += 1
-                if count > cap:
-                    raise ResourceLimitError(
-                        f"linear subdigraph enumeration exceeds cap {cap}", estimate=count
-                    )
-                chosen.append(Cycle(verts))
-                v2 = nvert + len(verts)
-                if i is None or v2 == i:
-                    out.append(LinearSubdigraph(tuple(chosen), wprod * w))
-                extend(a + 1, mask | cmask, chosen, v2, wprod * w)
-                chosen.pop()
-
-    extend(0, 0, [], 0, 1)
-    return out
+    _, kept = _linear_subdigraph_census(d.rows, cap, i)
+    return [LinearSubdigraph(tuple(map(Cycle, cycles)), w) for cycles, w in kept]
 
 
 def char_poly_oracle(d: MultiDigraph) -> IntPolynomial:

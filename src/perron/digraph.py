@@ -40,7 +40,18 @@ class MultiDigraph:
 
     @classmethod
     def from_edges(cls, m: int, edges) -> "MultiDigraph":
-        """Build from (i, j) or (i, j, k) entries, 0-based, k parallel edges."""
+        """Build from (i, j) or (i, j, k) entries, 0-based, k parallel edges.
+
+        The vertex count may come from a file, so it is capped before the
+        m x m grid is allocated: no operation supports more vertices than the
+        Berkowitz oracle.
+        """
+        from .charpoly import ORACLE_MAX_VERTICES  # charpoly imports this module
+
+        if m > ORACLE_MAX_VERTICES:
+            raise ResourceLimitError(
+                f"a digraph may have at most {ORACLE_MAX_VERTICES} vertices, got {m}", estimate=m
+            )
         grid = [[0] * m for _ in range(m)]
         for e in edges:
             i, j = e[0], e[1]

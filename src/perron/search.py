@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .charpoly import char_poly_ct, enumerate_linear_subdigraphs, _coeffs_from_rows
+from .charpoly import char_poly_ct, _linear_subdigraph_census
 from .digraph import (
     MultiDigraph,
     canonical_form,
@@ -234,18 +234,22 @@ def sweep_ring(n: int, m: int):
 # case-analysis verification sweeps
 # ---------------------------------------------------------------------------
 
-def _census_checks(d: MultiDigraph, p: IntPolynomial):
-    """Structural coefficient facts every swept digraph must satisfy."""
+def _census_checks(d: MultiDigraph) -> IntPolynomial:
+    """The characteristic polynomial of a swept digraph, from the same walk
+    that checks the structural coefficient facts every swept digraph must
+    satisfy."""
     m = d.m
+    b, spanning = _linear_subdigraph_census(d.rows, size=m)
+    p = IntPolynomial(tuple(b))
     if p.b(1) > 0:
         raise CounterexampleError(f"b_1 > 0 on a digraph: {format_polynomial(p)}")
-    spanning = enumerate_linear_subdigraphs(d, m)
     if abs(p.b(m)) == 1 and not spanning:
         raise CounterexampleError("|b_m| = 1 without a spanning linear subdigraph")
     c = complexity(d)
-    for L in spanning:
-        if L.cycle_count > c:
+    for cycles, _ in spanning:
+        if len(cycles) > c:
             raise CounterexampleError("spanning linear subdigraph with more cycles than complexity")
+    return p
 
 
 def verify_case_c_le_2(m_max: int) -> SearchReport:
@@ -277,8 +281,7 @@ def verify_case_c_le_2(m_max: int) -> SearchReport:
     for m in range(1, m_max + 1):
         for a1, dg in sweep_shape_11(m):
             total += 1
-            p = char_poly_ct(dg)
-            _census_checks(dg, p)
+            p = _census_checks(dg)
             p1 = eval_at_one(p)
             p1_distribution[p1] = p1_distribution.get(p1, 0) + 1
             if p1 != -1:
@@ -289,8 +292,7 @@ def verify_case_c_le_2(m_max: int) -> SearchReport:
 
         for case, dg in sweep_shape_12(m):
             total += 1
-            p = char_poly_ct(dg)
-            _census_checks(dg, p)
+            p = _census_checks(dg)
             p1 = eval_at_one(p)
             p1_distribution[p1] = p1_distribution.get(p1, 0) + 1
             if p1 != expected_12[case]:
@@ -306,8 +308,7 @@ def verify_case_c_le_2(m_max: int) -> SearchReport:
 
         for a1, a2, pp, qq, dg in sweep_shape_22(m):
             total += 1
-            p = char_poly_ct(dg)
-            _census_checks(dg, p)
+            p = _census_checks(dg)
             a3 = pp + qq
             if p != two_cycle_polynomial(a1, a2, a3):
                 raise CounterexampleError(
@@ -414,8 +415,7 @@ def verify_case_odd_diagonal(k: int, m_max: int) -> SearchReport:
     def handle(dg):
         nonlocal total
         total += 1
-        p = char_poly_ct(dg)
-        _census_checks(dg, p)
+        p = _census_checks(dg)
         p1 = eval_at_one(p)
         p1_distribution[p1] = p1_distribution.get(p1, 0) + 1
         if p1 == 0:
@@ -804,7 +804,7 @@ def _ring_plus_one_tabulation(window_lo: int, window_hi: int) -> list[str]:
                 for j in range(m):
                     rows[i][j] += 1
                     total += 1
-                    p = IntPolynomial(tuple(_coeffs_from_rows(rows, 10_000_000)))
+                    p = IntPolynomial(tuple(_linear_subdigraph_census(rows)[0]))
                     if classify_palindrome(p) is PalindromeClass.PALINDROMIC:
                         palindromic += 1
                         if rows[i][j] >= 2:
@@ -837,9 +837,11 @@ def reconstruct_figure4() -> MultiDigraph:
     and 7, and four further edges, for the stated characteristic polynomial
     and the stated 7-cycle.
 
-    The coefficient constraints prune exactly: b_1 = -2 forbids extra loops,
-    b_2 = +1 forbids 2-cycles, b_3 = 0 forbids 3-cycles.  Candidates are
-    scanned in lexicographic order, so the result is deterministic.
+    The 7-cycle's arcs outside the base digraph must all be among the four
+    edges, so combinations without them are skipped first.  The coefficient
+    constraints prune exactly: b_1 = -2 forbids extra loops, b_2 = +1 forbids
+    2-cycles, b_3 = 0 forbids 3-cycles.  Candidates are scanned in
+    lexicographic order, so the result is deterministic.
     """
     m = 9
     base = [[0] * m for _ in range(m)]
@@ -857,10 +859,13 @@ def reconstruct_figure4() -> MultiDigraph:
     ]
     target = tuple(FIGURE4_POLYNOMIAL.coeffs)
     cyc = FIGURE4_SEVEN_CYCLE
+    cycle_arcs = {(cyc[t], cyc[(t + 1) % 7]) for t in range(7)} - base_arcs
 
     for combo in itertools.combinations(candidates, 4):
         ok = True
         arc_set = set(combo)
+        if not cycle_arcs <= arc_set:
+            continue
         for (i, j) in combo:
             if (j, i) in arc_set:
                 ok = False
@@ -880,9 +885,7 @@ def reconstruct_figure4() -> MultiDigraph:
                 break
         if not ok:
             continue
-        if tuple(_coeffs_from_rows(rows, 10_000_000)) != target:
-            continue
-        if all(rows[cyc[t]][cyc[(t + 1) % 7]] for t in range(7)):
+        if tuple(_linear_subdigraph_census(rows)[0]) == target:
             return MultiDigraph.from_rows(rows)
     raise FixtureNotFound(
         "no digraph with the stated polynomial and 7-cycle exists in the search space"

@@ -105,6 +105,24 @@ def test_spanning_census_matches_bm(rng):
             assert spanning
 
 
+def test_census_by_size_matches_both_routes(rng):
+    """Every size filter of the census is the filtered full census, and its
+    signed weight sum is that coefficient of both characteristic polynomials."""
+    for _ in range(60):
+        m = rng.randint(1, 7)
+        density = rng.uniform(1.0, 2.5) / m
+        grid = [[rng.randint(1, 2) if rng.random() < density else 0 for _ in range(m)] for _ in range(m)]
+        d = MultiDigraph.from_rows(grid)
+        every = enumerate_linear_subdigraphs(d)
+        ct, oracle = char_poly_ct(d), char_poly_oracle(d)
+        for i in range(m + 1):
+            sized = enumerate_linear_subdigraphs(d, i)
+            assert sized == [L for L in every if L.vertex_count == i]
+            # the empty union, which is not listed, gives b_0 = 1
+            signed = (i == 0) + sum((-1) ** L.cycle_count * L.weight for L in sized)
+            assert signed == ct.b(i) == oracle.b(i)
+
+
 def test_no_spanning_cover_forces_bm_zero():
     # triangle 0-1-2 with a pendant 2-cycle at vertex 1: no disjoint cycles
     # cover all four vertices

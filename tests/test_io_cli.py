@@ -5,9 +5,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from perron.charpoly import ORACLE_MAX_VERTICES
 from perron.cli import run
 from perron.digraph import MultiDigraph
-from perron.errors import ParameterRangeError
+from perron.errors import ParameterRangeError, ResourceLimitError
 from perron.fixtures import figure1, figure4, fixture_text
 from perron.io import (
     digraph_from_json_obj,
@@ -237,6 +238,23 @@ def test_cli_degree_cap():
         code, out, err = invoke(*argv)
         assert code == 1 and out == ""
         assert err.startswith("error: resource-limit:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["charpoly", "hamsong"])
+def test_cli_vertex_cap(tmp_path, command):
+    path = tmp_path / "huge.dg"
+    path.write_text("1000000\n")
+    code, out, err = invoke(command, str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: resource-limit:") and err.count("\n") == 1
+
+
+def test_vertex_cap_is_checked_before_allocating():
+    with pytest.raises(ResourceLimitError):
+        digraph_from_json_obj({"vertices": 10**12, "edges": []})
+    assert parse_digraph(f"{ORACLE_MAX_VERTICES}\n1 1\n").m == ORACLE_MAX_VERTICES
+    with pytest.raises(ResourceLimitError):
+        parse_digraph(f"{ORACLE_MAX_VERTICES + 1}\n1 1\n")
 
 
 def test_cli_hamsong(fig1_path):

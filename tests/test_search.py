@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import perron.charpoly
 from perron.charpoly import char_poly_ct
 from perron.digraph import (
     MultiDigraph,
@@ -153,6 +154,23 @@ def test_verify_odd_diagonal():
     assert r2.survivors == []
     with pytest.raises(ParameterRangeError):
         verify_case_odd_diagonal(3, 8)
+
+
+def test_each_swept_digraph_walks_its_cycles_once(monkeypatch):
+    calls = 0
+    walk = perron.charpoly._weighted_cycles
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(perron.charpoly, "_weighted_cycles", counting)
+    for sweep in (lambda: verify_case_c_le_2(6), lambda: verify_case_odd_diagonal(1, 7)):
+        calls = 0
+        report = sweep()
+        assert report.total > 0
+        assert calls == report.total
 
 
 def test_genus_candidates_g11():
