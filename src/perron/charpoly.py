@@ -84,6 +84,38 @@ def _linear_subdigraph_census(rows, cap: int = SUBDIGRAPH_CAP_DEFAULT, size: int
     return b, kept
 
 
+def _edge_placement_coeffs(rows, b):
+    """Descending charpoly coefficients of every single-edge placement on T.
+
+    ``rows`` is the multiplicity grid T and ``b`` the descending coefficients
+    of p = det(xI - T).  Adding an edge i -> j is the rank-one update
+    T + e_i e_j^T, so det(xI - T - e_i e_j^T) = p(x) - adj(xI - T)[j][i] (the
+    matrix determinant lemma), and adj(xI - T) = sum_k x^(m-1-k) B_k with
+    B_0 = I and B_k = T·B_{k-1} + b_k I.  No division is needed: m - 1
+    sparse integer products per grid, then O(m) work per placement.  Returns
+    ``out`` with ``out[i][j]`` the coefficient tuple of placement i -> j.
+    """
+    m = len(rows)
+    nonzero = [[(t, k) for t, k in enumerate(row) if k] for row in rows]
+    B = [[int(r == c) for c in range(m)] for r in range(m)]
+    powers = [B]
+    for k in range(1, m):
+        nxt = []
+        for r in range(m):
+            acc = [0] * m
+            for t, mult in nonzero[r]:
+                for c, v in enumerate(B[t]):
+                    acc[c] += mult * v
+            acc[r] += b[k]
+            nxt.append(acc)
+        B = nxt
+        powers.append(B)
+    tail = b[1:]
+    return [
+        [(1, *(bk - P[j][i] for bk, P in zip(tail, powers))) for j in range(m)] for i in range(m)
+    ]
+
+
 def char_poly_ct(
     d: MultiDigraph, cap: int = SUBDIGRAPH_CAP_DEFAULT, max_m: int = CT_MAX_VERTICES
 ) -> IntPolynomial:

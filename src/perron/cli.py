@@ -7,6 +7,7 @@ line ``error: <kind>: <message>`` on stderr), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -29,6 +30,7 @@ from .spectral import _ham_song, largest_real_root
 DEFAULT_ROOT_TOL = Fraction(1, 10**10)
 
 
+@functools.cache  # parsing does not change the parser, so one per process serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="perron",
@@ -201,8 +203,9 @@ def run(argv, out=None, err=None) -> int:
             _cmd_shape22(args, out)
         elif args.command == "bound":
             b = hironaka_bound(args.g)
+            value = b.bound.decimal(args.digits)  # may refuse the digits: render before printing
             print(f"(d, a) = ({b.d}, {b.a})", file=out)
-            print(f"bound = {b.bound.decimal(args.digits)}", file=out)
+            print(f"bound = {value}", file=out)
         elif args.command == "verify":
             _cmd_verify(args, out)
         elif args.command == "count":

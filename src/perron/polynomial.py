@@ -13,6 +13,9 @@ from .errors import ParameterRangeError, ResourceLimitError
 
 # far above every degree the sweeps and searches reach; guards the dense list
 MAX_DEGREE = 100_000
+# to_fraction refuses longer decimal exponents before parsing: Fraction builds
+# 10^|exponent| exactly, so "1e-10000000" alone takes seconds to parse
+_MAX_EXPONENT_DIGITS = 4
 
 
 @dataclass(frozen=True)
@@ -178,6 +181,15 @@ def to_fraction(x) -> Fraction:
     """Exact conversion of int/float/str/Fraction tolerances and bounds."""
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, str):
+        _, e, exponent = x.strip().lower().rpartition("e")
+        digits = exponent.lstrip("+-").replace("_", "").lstrip("0")
+        if e and digits.isdecimal() and len(digits) > _MAX_EXPONENT_DIGITS:
+            raise ResourceLimitError(
+                f"a decimal exponent of {len(digits)} digits exceeds the cap of "
+                f"{_MAX_EXPONENT_DIGITS}",
+                estimate=len(digits),
+            )
     if isinstance(x, (int, float, str)):
         try:
             return Fraction(x)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .charpoly import char_poly_ct, _linear_subdigraph_census
+from .charpoly import char_poly_ct, _edge_placement_coeffs, _linear_subdigraph_census
 from .digraph import (
     MultiDigraph,
     canonical_form,
@@ -592,13 +592,21 @@ def enumerate_digraphs(
     return [reps[k] for k in sorted(reps)]
 
 
-def _enumerate_shape_classes(m: int, c: int, n: int, cap: int) -> list[MultiDigraph]:
-    """Ring-arrangement sweep: n disjoint cycles joined in a ring, plus
-    c - n extra edges placed anywhere, deduped by canonical form."""
+def _ring_placements(m: int, c: int, n: int, cap: int):
+    """The placements of the ring-arrangement sweep, grouped by all but the
+    last extra edge.
+
+    Checks the placement estimate against the cap before building anything,
+    then yields ``(dg, slots)`` for each ring of n disjoint cycles plus a
+    prefix of the c - n extra edges: the last edge takes each slot in
+    ``slots`` (slot s is the edge s // m -> s % m), which walks the
+    ``combinations_with_replacement`` order of all extra edges.  With no extra
+    edge, ``slots`` is None and ``dg`` is the placement itself.
+    """
     if n < 1 or c < n:
         raise ParameterRangeError("shape-restricted enumeration needs 1 <= n <= c")
     if m < n:
-        return []
+        return
     extra_edges = c - n
     placements = m * m
     estimate = 0
@@ -611,35 +619,58 @@ def _enumerate_shape_classes(m: int, c: int, n: int, cap: int) -> list[MultiDigr
         raise ResourceLimitError(
             f"shape placement estimate {estimate} exceeds cap {cap}", estimate=estimate
         )
-    reps: dict[bytes, MultiDigraph] = {}
     for _, _, base in sweep_ring(n, m):
         if extra_edges == 0:
-            if is_strongly_connected(base):
-                reps.setdefault(canonical_form(base), base)
+            yield base, None
             continue
-        slots = list(itertools.product(range(m), range(m)))
-        for combo in itertools.combinations_with_replacement(slots, extra_edges):
+        for prefix in itertools.combinations_with_replacement(range(placements), extra_edges - 1):
             dg = base
-            for i, j in combo:
-                dg = dg.with_edge(i, j)
-            if is_strongly_connected(dg):
-                reps.setdefault(canonical_form(dg), dg)
+            for s in prefix:
+                dg = dg.with_edge(*divmod(s, m))
+            yield dg, range(prefix[-1] if prefix else 0, placements)
+
+
+def _enumerate_shape_classes(m: int, c: int, n: int, cap: int) -> list[MultiDigraph]:
+    """Ring-arrangement sweep: n disjoint cycles joined in a ring, plus
+    c - n extra edges placed anywhere, deduped by canonical form."""
+    reps: dict[bytes, MultiDigraph] = {}
+    for dg, slots in _ring_placements(m, c, n, cap):
+        candidates = [dg] if slots is None else (dg.with_edge(*divmod(s, m)) for s in slots)
+        for pl in candidates:
+            if is_strongly_connected(pl):
+                reps.setdefault(canonical_form(pl), pl)
     return [reps[k] for k in sorted(reps)]
 
 
 def count_realizations(p: IntPolynomial, n: int, c: int, cap: int = ENUMERATION_CAP_DEFAULT) -> int:
     """Isomorphism classes of strongly connected (n,c)-shape digraphs on
-    degree(p) vertices whose characteristic polynomial equals p."""
+    degree(p) vertices whose characteristic polynomial equals p.
+
+    Walks the placements of ``enumerate_digraphs(m, c, n_cycles=n)``, but
+    compares each placement's polynomial with p first (by a rank-one update
+    of its ring-plus-prefix polynomial) and labels only the matches.
+    """
     m = p.degree
     if not 1 <= m <= FULL_ENUMERATION_MAX_M:
         raise ParameterRangeError(f"count_realizations needs degree 1..{FULL_ENUMERATION_MAX_M}")
     if p.b(1) > 0:
         return 0  # b_1 = -trace(T) <= 0 for every digraph
-    count = 0
-    for dg in enumerate_digraphs(m, c, n_cycles=n, cap=cap):
-        if complexity(dg) == c and char_poly_ct(dg) == p:
-            count += 1
-    return count
+    forms = set()
+    for dg, slots in _ring_placements(m, c, n, cap):
+        q = char_poly_ct(dg)
+        if slots is None:
+            matches = [dg] if q == p else []
+        else:
+            polys = _edge_placement_coeffs(dg.rows, q.coeffs)
+            matches = []
+            for s in slots:
+                i, j = divmod(s, m)
+                if polys[i][j] == p.coeffs:
+                    matches.append(dg.with_edge(i, j))
+        for pl in matches:
+            if is_strongly_connected(pl):
+                forms.add(canonical_form(pl))
+    return len(forms)
 
 
 # ---------------------------------------------------------------------------
@@ -799,17 +830,15 @@ def _ring_plus_one_tabulation(window_lo: int, window_hi: int) -> list[str]:
     doubled_edge_palindromic = 0
     for m in range(max(window_lo, 5), hi + 1):
         for _, _, base in sweep_ring(4, m):
-            rows = [list(r) for r in base.rows]
+            polys = _edge_placement_coeffs(base.rows, char_poly_ct(base).coeffs)
             for i in range(m):
                 for j in range(m):
-                    rows[i][j] += 1
                     total += 1
-                    p = IntPolynomial(tuple(_linear_subdigraph_census(rows)[0]))
+                    p = IntPolynomial(polys[i][j])
                     if classify_palindrome(p) is PalindromeClass.PALINDROMIC:
                         palindromic += 1
-                        if rows[i][j] >= 2:
+                        if base.rows[i][j]:  # the placement doubles an existing edge
                             doubled_edge_palindromic += 1
-                    rows[i][j] -= 1
     notes = [f"(4,5) ring-plus-one-edge sweep over m in [{max(window_lo, 5)}, {hi}]: "
              f"{total} placements, {palindromic} palindromic"]
     if palindromic:

@@ -19,6 +19,7 @@ from .errors import (
     NoRootAtLeastOne,
     ParameterRangeError,
     RefinementLimitError,
+    ResourceLimitError,
 )
 from .polynomial import (
     IntPolynomial,
@@ -32,6 +33,11 @@ from .polynomial import (
 
 DEFAULT_TOL = Fraction(1, 10**10)
 _SEPARATION_FLOOR = Fraction(1, 10**15)
+# bisecting to 1e-1000 takes about 20 s at degree 36, so finer widths are refused
+_TOL_FLOOR = Fraction(1, 10**300)
+# the fraction digits are rendered as one int, and CPython refuses to convert
+# an int of more than 4,300 digits to text by default
+_MAX_DIGITS = 4300
 
 
 @dataclass(frozen=True)
@@ -64,6 +70,10 @@ class RootResult:
         """Midpoint rounded half-up to a fixed number of fractional digits."""
         if digits < 1:
             raise ParameterRangeError("digits must be >= 1")
+        if digits > _MAX_DIGITS:
+            raise ResourceLimitError(
+                f"{digits} digits exceed the cap of {_MAX_DIGITS}", estimate=digits
+            )
         scaled = self.midpoint * 10**digits
         n = scaled.numerator // scaled.denominator
         if 2 * (scaled - n) >= 1:
@@ -163,6 +173,8 @@ def _positive_tol(tol) -> Fraction:
     tolf = to_fraction(tol)
     if tolf <= 0:
         raise ParameterRangeError("tolerance must be positive")
+    if tolf < _TOL_FLOOR:
+        raise ResourceLimitError("tolerance is below the floor of 1e-300")
     return tolf
 
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from perron.charpoly import (
+    _edge_placement_coeffs,
     char_poly_ct,
     char_poly_oracle,
     enumerate_linear_subdigraphs,
@@ -121,6 +122,22 @@ def test_census_by_size_matches_both_routes(rng):
             # the empty union, which is not listed, gives b_0 = 1
             signed = (i == 0) + sum((-1) ** L.cycle_count * L.weight for L in sized)
             assert signed == ct.b(i) == oracle.b(i)
+
+
+def test_edge_placement_update_matches_both_routes(rng):
+    """The rank-one update gives the polynomial of every single-edge placement,
+    loops and doubled edges included, on digraphs that need not be strongly
+    connected."""
+    for _ in range(60):
+        m = rng.randint(1, 7)
+        density = rng.uniform(0.5, 2.5) / m
+        grid = [[rng.randint(1, 2) if rng.random() < density else 0 for _ in range(m)] for _ in range(m)]
+        d = MultiDigraph.from_rows(grid)
+        placements = _edge_placement_coeffs(d.rows, char_poly_ct(d).coeffs)
+        for i in range(m):
+            for j in range(m):
+                e = d.with_edge(i, j)
+                assert placements[i][j] == char_poly_ct(e).coeffs == char_poly_oracle(e).coeffs
 
 
 def test_no_spanning_cover_forces_bm_zero():

@@ -257,6 +257,48 @@ def test_vertex_cap_is_checked_before_allocating():
         parse_digraph(f"{ORACLE_MAX_VERTICES + 1}\n1 1\n")
 
 
+def test_cli_digits_are_checked_before_output():
+    code, out, err = invoke("root", "x^2 - x - 1", "--digits", "100000")
+    assert code == 1 and out == ""
+    assert err.startswith("error: resource-limit:") and err.count("\n") == 1
+    code, out, err = invoke("bound", "6", "--digits", "-3")
+    assert code == 1 and out == ""
+    assert err.startswith("error: parameter-range:") and err.count("\n") == 1
+    code, out, _ = invoke("root", "x^2 - x - 1", "--digits", "1000")
+    assert code == 0 and out.startswith("1.61803") and len(out) == len("1.\n") + 1000
+
+
+def test_cli_tolerance_floor():
+    # the first is refused before parsing, the others before bisecting
+    for tol in ("1e-10000000", "1e-1000", "1/10" + "0" * 400):
+        code, out, err = invoke("root", "x^2 - x - 1", "--tol", tol)
+        assert code == 1 and out == ""
+        assert err.startswith("error: resource-limit:") and err.count("\n") == 1
+    code, out, _ = invoke("root", "x^2 - x - 1", "--tol", "1e-300")
+    assert code == 0 and out == "1.61803\n"
+
+
+def test_cli_runs_alike_through_one_process(capsys):
+    """The parser is built once per process: usage errors, help, domain errors
+    and valid calls give the same output on every call."""
+    calls = [
+        ("frobnicate",),
+        ("root", "x^2 + 1"),
+        ("lt", "7", "6"),
+        ("count", "--help"),
+        ("root", "x^2 - x - 1", "--bracket", "--tol", "1/1000"),
+        ("search", "--genus", "5", "--max-c", "1", "--jobs", "0"),
+    ]
+    first = {}
+    for _ in range(3):
+        for argv in calls:
+            result = (invoke(*argv), capsys.readouterr())
+            assert first.setdefault(argv, result) == result
+    assert first[("frobnicate",)][0][0] == 2 and "usage: perron" in first[("frobnicate",)][1].err
+    assert first[("root", "x^2 + 1")][0][0] == 1
+    assert first[("count", "--help")][0][0] == 0 and "--n N" in first[("count", "--help")][1].out
+
+
 def test_cli_hamsong(fig1_path):
     code, out, _ = invoke("hamsong", fig1_path)
     assert code == 0

@@ -1,9 +1,11 @@
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import perron.charpoly
+import perron.search
 from perron.charpoly import char_poly_ct
 from perron.digraph import (
     MultiDigraph,
@@ -14,8 +16,9 @@ from perron.digraph import (
 from perron.errors import ParameterRangeError, ResourceLimitError
 from perron.families import lt_polynomial
 from perron.fixtures import figure4
-from perron.polynomial import format_polynomial, parse_polynomial
+from perron.polynomial import IntPolynomial, format_polynomial, parse_polynomial
 from perron.search import (
+    ENUMERATION_CAP_DEFAULT,
     FIGURE4_POLYNOMIAL,
     FIGURE4_SEVEN_CYCLE,
     count_realizations,
@@ -111,6 +114,37 @@ def test_count_realizations_examples():
     assert count_realizations(parse_polynomial("x^14 + x^13 + 1"), 2, 2) == 0
     with pytest.raises(ParameterRangeError):
         count_realizations(lt_polynomial(8, 1), 2, 2)
+
+
+def test_count_realizations_matches_brute_force():
+    """The count, which labels only placements whose polynomial matches, equals
+    the classes of the shape enumeration filtered by their polynomial."""
+    for n in range(1, 4):
+        for c in range(n, n + 3):
+            for m in range(1, 7):
+                classes = Counter(char_poly_ct(d) for d in enumerate_digraphs(m, c, n_cycles=n))
+                # the two most realized polynomials, the m-cycle's, and one with
+                # its constant term moved far off, which nothing realizes
+                queries = [p for p, _ in classes.most_common(2)]
+                queries.append(IntPolynomial((1,) + (0,) * (m - 1) + (-1,)))
+                *head, constant = queries[0].coeffs
+                queries.append(IntPolynomial((*head, constant + 100)))
+                for p in queries:
+                    assert count_realizations(p, n, c) == classes[p], (p, n, c)
+
+
+def test_count_realizations_checks_the_cap_before_building(monkeypatch):
+    p = lt_polynomial(7, 6)
+    with pytest.raises(ResourceLimitError) as enumerated:
+        enumerate_digraphs(p.degree, 9, n_cycles=2)
+
+    def no_rings(*args):
+        raise AssertionError("a ring was built before the cap was checked")
+
+    monkeypatch.setattr(perron.search, "sweep_ring", no_rings)
+    with pytest.raises(ResourceLimitError) as counted:
+        count_realizations(p, 2, 9)
+    assert counted.value.estimate == enumerated.value.estimate > ENUMERATION_CAP_DEFAULT
 
 
 def test_verify_c2_small_and_balanced():
