@@ -8,8 +8,10 @@ multiplicity matrix.  They must agree bit-exactly on the shared domain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
+from operator import add, mul
 
-from .digraph import Cycle, MultiDigraph, _weighted_cycles
+from .digraph import Cycle, MultiDigraph, _grid_arcs, _path_cycle, _smooth, _weighted_cycles
 from .errors import ParameterRangeError, ResourceLimitError
 from .polynomial import IntPolynomial
 
@@ -38,33 +40,35 @@ class LinearSubdigraph:
         return len(self.cycles)
 
 
-def _linear_subdigraph_census(rows, cap: int = SUBDIGRAPH_CAP_DEFAULT, size: int | None = -1):
-    """One walk over the linear subdigraphs of a raw multiplicity grid.
+def _linear_subdigraph_census(
+    V: int, arcs, weights, cap: int = SUBDIGRAPH_CAP_DEFAULT, size: int | None = -1
+):
+    """One walk over the linear subdigraphs of an arc list (see ``_weighted_cycles``).
 
-    Returns ``(b, kept)``.  ``b`` is the descending charpoly coefficient list:
-    b_i sums (-1)^(number of cycles) times the multiplicity product over all
-    i-vertex disjoint cycle unions.  ``kept`` lists the unions on ``size``
-    vertices (every union when ``size`` is None, none by default) as
-    ``(vertex tuples of the cycles, weight)``.  Unions are built in increasing
+    Returns ``(b, kept)``.  ``b`` is the descending coefficient list indexed by
+    arc count: b_i sums (-1)^(number of cycles) times the weight product over
+    all disjoint cycle unions of i arcs, so for a grid's arcs (``_grid_arcs``)
+    it is the characteristic polynomial.  ``kept`` lists the unions of
+    ``size`` arcs (every union when ``size`` is None, none by default) as
+    ``(arc-id tuples of the cycles, weight)``.  Unions are built in increasing
     order of their cycles' anchor (minimal) vertices, so each one is seen
     exactly once.
     """
-    m = len(rows)
-    by_anchor: list[list[tuple[int, tuple[int, ...], int, int]]] = [[] for _ in range(m)]
-    for mask, anchor, verts, weight in _weighted_cycles(rows, cap):
-        by_anchor[anchor].append((mask, verts, len(verts), weight))
+    by_anchor: list[list[tuple[int, tuple[int, ...], int, int]]] = [[] for _ in range(V)]
+    for mask, anchor, path, weight in _weighted_cycles(V, arcs, weights, cap):
+        by_anchor[anchor].append((mask, path, len(path), weight))
 
-    b = [0] * (m + 1)
+    b = [0] * (V + 1)
     b[0] = 1
     kept = []
     count = 0
 
     def extend(next_anchor, mask, nvert, signed, chosen):
         nonlocal count
-        for a in range(next_anchor, m):
+        for a in range(next_anchor, V):
             if (mask >> a) & 1:
                 continue
-            for cmask, verts, clen, w in by_anchor[a]:
+            for cmask, path, clen, w in by_anchor[a]:
                 if cmask & mask:
                     continue
                 count += 1
@@ -75,13 +79,83 @@ def _linear_subdigraph_census(rows, cap: int = SUBDIGRAPH_CAP_DEFAULT, size: int
                 v2 = nvert + clen
                 s2 = -signed * w  # each further cycle flips the sign
                 b[v2] += s2
-                c2 = chosen + (verts,)
+                c2 = chosen + (path,)
                 if size is None or v2 == size:
                     kept.append((c2, abs(s2)))
                 extend(a + 1, mask | cmask, v2, s2, c2)
 
     extend(0, 0, 0, 1, ())
     return b, kept
+
+
+def _core_unions(V: int, arcs):
+    """The cycle unions of a smoothed core, from one census walk, by cycle count.
+
+    Returns ``(cycles, levels)``: ``cycles`` lists each cycle's arc ids, and
+    ``levels[n - 1]`` holds the unions of n cycles as two parallel lists,
+    each union's parent (the union of its first n - 1 cycles, by position in
+    the level below; the empty union is position 0 of level 0) and the index
+    of its last cycle.
+    """
+    _, kept = _linear_subdigraph_census(V, arcs, [1] * len(arcs), size=None)
+    cycles: dict[tuple[int, ...], int] = {}
+    positions: list[dict] = [{(): 0}]
+    levels: list[tuple[list[int], list[int]]] = []
+    for union, _ in kept:  # a parent union is always listed before its children
+        n = len(union)
+        if n > len(levels):
+            levels.append(([], []))
+            positions.append({})
+        parents, last = levels[n - 1]
+        positions[n][union] = len(parents)
+        parents.append(positions[n - 1][union[:-1]])
+        last.append(cycles.setdefault(union[-1], len(cycles)))
+    return list(cycles), levels
+
+
+def _core_census(rows, cores: dict):
+    """A grid's descending charpoly coefficients, summed over its smoothed core.
+
+    Returns ``(b, most)``: b_i sums (-1)^(cycles) times the weight product
+    over the core's unions whose arc lengths total i, and ``most`` is the
+    largest cycle count of a spanning union (total length m), None if there
+    is none.  ``cores`` maps each labelled core ``(V, arcs)`` to its
+    ``_core_unions``; a missing core is walked once and added, so a caller
+    that keeps one dict over a sweep walks each core once.
+    """
+    m = len(rows)
+    V, arcs, lengths, weights = _smooth(rows)
+    key = (V, tuple(arcs))
+    unions = cores.get(key)
+    if unions is None:
+        unions = cores[key] = _core_unions(V, arcs)
+    paths, levels = unions
+    cycle_len = [sum(map(lengths.__getitem__, path)) for path in paths]
+    weighted = weights.count(1) != len(weights)  # most swept digraphs have no multiple edge
+    if weighted:
+        cycle_w = [prod(map(weights.__getitem__, path)) for path in paths]
+        union_w = [1]
+    b = [0] * (m + 1)
+    b[0] = 1
+    most = None
+    union_len = [0]
+    for n, (parents, last) in enumerate(levels, 1):
+        union_len = list(
+            map(add, map(union_len.__getitem__, parents), map(cycle_len.__getitem__, last))
+        )
+        sign = -1 if n & 1 else 1
+        if weighted:
+            union_w = list(
+                map(mul, map(union_w.__getitem__, parents), map(cycle_w.__getitem__, last))
+            )
+            for length, w in zip(union_len, union_w):
+                b[length] += sign * w
+        else:
+            for length in union_len:
+                b[length] += sign
+        if m in union_len:
+            most = n
+    return b, most
 
 
 def _edge_placement_coeffs(rows, b):
@@ -122,7 +196,7 @@ def char_poly_ct(
     """Characteristic polynomial via the signed linear-subdigraph census."""
     if d.m > max_m:
         raise ParameterRangeError(f"char_poly_ct supports at most {max_m} vertices, got {d.m}")
-    return IntPolynomial(tuple(_linear_subdigraph_census(d.rows, cap)[0]))
+    return IntPolynomial(tuple(_linear_subdigraph_census(*_grid_arcs(d.rows), cap)[0]))
 
 
 def enumerate_linear_subdigraphs(
@@ -134,8 +208,11 @@ def enumerate_linear_subdigraphs(
     """
     if d.m > CT_MAX_VERTICES:
         raise ParameterRangeError(f"supports at most {CT_MAX_VERTICES} vertices, got {d.m}")
-    _, kept = _linear_subdigraph_census(d.rows, cap, i)
-    return [LinearSubdigraph(tuple(map(Cycle, cycles)), w) for cycles, w in kept]
+    V, arcs, weights = _grid_arcs(d.rows)
+    _, kept = _linear_subdigraph_census(V, arcs, weights, cap, i)
+    return [
+        LinearSubdigraph(tuple(_path_cycle(arcs, path) for path in cycles), w) for cycles, w in kept
+    ]
 
 
 def char_poly_oracle(d: MultiDigraph) -> IntPolynomial:

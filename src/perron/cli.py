@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 1 on domain errors (printed as one machine-parsable
-line ``error: <kind>: <message>`` on stderr), 2 on usage errors.
+Exit codes: 0 on success, 1 on domain errors, 2 on usage errors; either
+error is printed as one machine-parsable line ``error: <kind>: <message>`` on
+stderr.
 """
 
 from __future__ import annotations
@@ -30,9 +31,17 @@ from .spectral import _ham_song, largest_real_root
 DEFAULT_ROOT_TOL = Fraction(1, 10**10)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a usage error on one line, in the
+    ``error: <kind>: <message>`` form of every other error, with exit code 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: usage: {self.prog}: {message}".replace("\n", " ") + "\n")
+
+
 @functools.cache  # parsing does not change the parser, so one per process serves every call
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="perron",
         description="Exact digraph characteristic polynomials, certified root "
         "brackets, and low-complexity shape searches.",

@@ -8,7 +8,9 @@ matrix T: entry t[i][j] counts the parallel edges i -> j.  Vertices are
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd
+from operator import index
 
 from .errors import ParameterRangeError, ResourceLimitError
 
@@ -36,7 +38,23 @@ class MultiDigraph:
 
     @classmethod
     def from_rows(cls, rows) -> "MultiDigraph":
-        return cls(tuple(tuple(int(t) for t in row) for row in rows))
+        try:
+            grid = tuple(tuple(map(index, row)) for row in rows)
+        except TypeError:
+            raise ParameterRangeError("edge multiplicities must be non-negative integers") from None
+        return cls(grid)
+
+    @classmethod
+    def _from_grid(cls, grid) -> "MultiDigraph":
+        """Wrap a grid that a builder of this library filled itself.
+
+        The builders keep the invariant (a non-empty square grid of
+        non-negative ints) by checking their own arguments, so the grid is not
+        revalidated entry by entry.
+        """
+        d = object.__new__(cls)
+        object.__setattr__(d, "rows", tuple(map(tuple, grid)))
+        return d
 
     @classmethod
     def from_edges(cls, m: int, edges) -> "MultiDigraph":
@@ -67,7 +85,7 @@ class MultiDigraph:
 
     @property
     def edge_count(self) -> int:
-        return sum(sum(row) for row in self.rows)
+        return sum(map(sum, self.rows))
 
     def mult(self, i: int, j: int) -> int:
         return self.rows[i][j]
@@ -83,11 +101,11 @@ class MultiDigraph:
         """A copy with k more parallel edges i -> j."""
         if not (0 <= i < self.m and 0 <= j < self.m):
             raise ParameterRangeError(f"edge ({i}, {j}) outside vertex range 0..{self.m - 1}")
-        if k < 1:
-            raise ParameterRangeError("added multiplicity must be >= 1")
+        if not isinstance(k, int) or k < 1:
+            raise ParameterRangeError("added multiplicity must be an integer >= 1")
         grid = [list(row) for row in self.rows]
         grid[i][j] += k
-        return MultiDigraph.from_rows(grid)
+        return MultiDigraph._from_grid(grid)
 
     def permuted(self, perm) -> "MultiDigraph":
         """Relabel: old vertex v becomes perm[v]."""
@@ -98,7 +116,7 @@ class MultiDigraph:
         for i in range(m):
             for j in range(m):
                 grid[perm[i]][perm[j]] = self.rows[i][j]
-        return MultiDigraph.from_rows(grid)
+        return MultiDigraph._from_grid(grid)
 
 
 @dataclass(frozen=True)
@@ -123,7 +141,7 @@ def cycle_digraph(m: int) -> MultiDigraph:
     grid = [[0] * m for _ in range(m)]
     for i in range(m):
         grid[i][(i + 1) % m] = 1
-    return MultiDigraph.from_rows(grid)
+    return MultiDigraph._from_grid(grid)
 
 
 def complexity(d: MultiDigraph) -> int:
@@ -220,39 +238,108 @@ def is_primitive_power(d: MultiDigraph) -> bool:
     return all(row == full for row in result)
 
 
-def _weighted_cycles(rows, cap: int = CYCLE_CAP_DEFAULT):
-    """All elementary cycles as (vertex_mask, anchor, vertices, weight) tuples.
+def _path_cycle(arcs, path) -> Cycle:
+    """The cycle that walks the arc ids of ``path``, as its vertex sequence."""
+    return Cycle(tuple(arcs[e][0] for e in path))
 
-    Works on a raw multiplicity grid.  One entry per distinct vertex
-    sequence; weight is the product of edge multiplicities along the cycle.
-    The total weight is capped.
+
+def _grid_arcs(rows):
+    """A multiplicity grid as ``(vertex count, arcs, weights)``: one arc
+    ``(u, v)`` per non-zero entry, in row-major order, weighted by the entry."""
+    arcs = []
+    weights = []
+    for u, row in enumerate(rows):
+        for v, t in enumerate(row):
+            if t:
+                arcs.append((u, v))
+                weights.append(t)
+    return len(rows), arcs, weights
+
+
+def _smooth(rows):
+    """The smoothed core of a multiplicity grid, as ``(V, arcs, lengths, weights)``.
+
+    Every vertex with in-degree = out-degree = 1 is suppressed; each core arc
+    ``(u, v)`` stands for the path it replaces, with that path's edge count as
+    its length and the multiplicity of a single edge (1 for longer paths) as
+    its weight.  A vertex that no path from a core vertex covers lies on a bare
+    cycle, and that cycle's first vertex is kept as a core vertex.  Core
+    vertices keep the order of the grid's vertices, bare-cycle ones last.
+
+    The digraph's cycle unions are exactly the core's, with lengths summed
+    and weights multiplied; the core has V + complexity arc weight in all.
     """
     m = len(rows)
+    vertices = range(m)
+    # each vertex's core number; -1 marks a suppressed vertex not yet reached
+    # and -2 one reached from a core vertex
+    core = [-1] * m
+    V = 0
+    todo = []
+    for v, out_deg, in_deg in zip(vertices, map(sum, rows), map(sum, zip(*rows))):
+        if out_deg != 1 or in_deg != 1:
+            core[v] = V
+            V += 1
+            todo.append(v)
+    arcs = []
+    lengths = []
+    weights = []
+    while True:
+        for u in todo:
+            row = rows[u]
+            for v in compress(vertices, row):
+                t = row[v]
+                length = 1
+                while core[v] < 0:
+                    core[v] = -2
+                    v = rows[v].index(1)
+                    length += 1
+                arcs.append((core[u], core[v]))
+                lengths.append(length)
+                weights.append(t)
+        if -1 not in core:
+            break
+        v = core.index(-1)  # the first vertex of a bare cycle
+        core[v] = V
+        V += 1
+        todo = [v]
+    return V, arcs, lengths, weights
+
+
+def _weighted_cycles(V: int, arcs, weights, cap: int = CYCLE_CAP_DEFAULT):
+    """All elementary cycles of an arc list as (vertex_mask, anchor, arc ids, weight).
+
+    ``arcs[e]`` is the arc ``(u, v)`` on vertices 0..V-1 and ``weights[e]``
+    its multiplicity; a dense grid is the case of one arc per non-zero entry
+    (``_grid_arcs``).  Each cycle is listed once, from its anchor (minimal)
+    vertex, as the ids of its arcs in order; its weight is the product of
+    their weights.  The total weight is capped.
+    """
+    out_arcs = [[] for _ in range(V)]
+    for e, (u, v) in enumerate(arcs):
+        out_arcs[u].append((v, e))
     out = []
     total = 0
 
-    for a in range(m):
-        path = [a]
-        arow_limit = a  # only vertices >= a may appear; a is the anchor
+    for a in range(V):
+        path = []
 
         def dfs(v, mask, weight):
             nonlocal total
-            row = rows[v]
-            for w in range(arow_limit, m):
-                t = row[w]
-                if not t:
+            for w, e in out_arcs[v]:
+                if w < a:  # only vertices >= a may appear; a is the anchor
                     continue
                 if w == a:
-                    cw = weight * t
+                    cw = weight * weights[e]
                     total += cw
                     if total > cap:
                         raise ResourceLimitError(
                             f"elementary cycle count exceeds cap {cap}", estimate=total
                         )
-                    out.append((mask, a, tuple(path), cw))
+                    out.append((mask, a, (*path, e), cw))
                 elif not (mask >> w) & 1:
-                    path.append(w)
-                    dfs(w, mask | (1 << w), weight * t)
+                    path.append(e)
+                    dfs(w, mask | (1 << w), weight * weights[e])
                     path.pop()
 
         dfs(a, 1 << a, 1)
@@ -261,9 +348,10 @@ def _weighted_cycles(rows, cap: int = CYCLE_CAP_DEFAULT):
 
 def enumerate_elementary_cycles(d: MultiDigraph, cap: int = CYCLE_CAP_DEFAULT) -> list[Cycle]:
     """Every elementary cycle once per rotation class, repeated by edge multiplicity."""
+    V, arcs, weights = _grid_arcs(d.rows)
     cycles = []
-    for _, _, verts, weight in _weighted_cycles(d.rows, cap):
-        cycles.extend([Cycle(verts)] * weight)
+    for _, _, path, weight in _weighted_cycles(V, arcs, weights, cap):
+        cycles.extend([_path_cycle(arcs, path)] * weight)
     return cycles
 
 

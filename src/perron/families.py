@@ -30,7 +30,7 @@ class Shape:
     def __post_init__(self):
         if not self.cycle_lengths:
             raise ParameterRangeError("a shape needs at least one cycle")
-        if any(l < 1 for l in self.cycle_lengths):
+        if min(self.cycle_lengths) < 1:
             raise ParameterRangeError("cycle lengths must be >= 1")
         n = len(self.cycle_lengths)
         for sc, _, tc, _ in self.attachments:
@@ -129,32 +129,31 @@ def build_shape_nc(shape: Shape) -> MultiDigraph:
     """Concrete digraph for a shape: cycle blocks plus attachment edges."""
     lengths = shape.cycle_lengths
     m = shape.m
-    starts = []
-    acc = 0
-    for l in lengths:
-        starts.append(acc)
-        acc += l
     grid = [[0] * m for _ in range(m)]
-    for k, l in enumerate(lengths):
-        base = starts[k]
-        for i in range(l):
-            grid[base + i][base + (i + 1) % l] += 1
+    starts = []
+    base = 0
+    for l in lengths:
+        starts.append(base)
+        for i in range(base, base + l - 1):
+            grid[i][i + 1] += 1
+        grid[base + l - 1][base] += 1
+        base += l
     for sc, so, tc, to in shape.attachments:
         u = starts[sc] + so % lengths[sc]
         v = starts[tc] + to % lengths[tc]
         grid[u][v] += 1
-    return MultiDigraph.from_rows(grid)
+    return MultiDigraph._from_grid(grid)
 
 
 def ring_shape(lengths, exits) -> Shape:
     """Ring arrangement: one edge from each cycle k (at offset exits[k]) to
     cycle k+1 mod n (at offset 0)."""
-    lengths = tuple(int(l) for l in lengths)
-    exits = tuple(int(x) for x in exits)
+    lengths = tuple(map(int, lengths))
+    exits = tuple(map(int, exits))
     n = len(lengths)
     if len(exits) != n:
         raise ParameterRangeError("one exit offset per cycle is required")
-    attachments = tuple((k, exits[k], (k + 1) % n, 0) for k in range(n))
+    attachments = tuple([(k, exits[k], (k + 1) % n, 0) for k in range(n)])
     return Shape(lengths, attachments)
 
 

@@ -14,9 +14,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .charpoly import char_poly_ct, _edge_placement_coeffs, _linear_subdigraph_census
+from .charpoly import (
+    char_poly_ct,
+    _core_census,
+    _edge_placement_coeffs,
+    _linear_subdigraph_census,
+)
 from .digraph import (
     MultiDigraph,
+    _grid_arcs,
     canonical_form,
     complexity,
     cycle_digraph,
@@ -234,21 +240,19 @@ def sweep_ring(n: int, m: int):
 # case-analysis verification sweeps
 # ---------------------------------------------------------------------------
 
-def _census_checks(d: MultiDigraph) -> IntPolynomial:
-    """The characteristic polynomial of a swept digraph, from the same walk
-    that checks the structural coefficient facts every swept digraph must
-    satisfy."""
+def _census_checks(d: MultiDigraph, cores: dict) -> IntPolynomial:
+    """The characteristic polynomial of a swept digraph, summed over its
+    smoothed core's unions, with the structural coefficient facts every swept
+    digraph must satisfy.  ``cores`` is the sweep's cache of core unions."""
     m = d.m
-    b, spanning = _linear_subdigraph_census(d.rows, size=m)
+    b, most = _core_census(d.rows, cores)
     p = IntPolynomial(tuple(b))
     if p.b(1) > 0:
         raise CounterexampleError(f"b_1 > 0 on a digraph: {format_polynomial(p)}")
-    if abs(p.b(m)) == 1 and not spanning:
+    if abs(p.b(m)) == 1 and most is None:
         raise CounterexampleError("|b_m| = 1 without a spanning linear subdigraph")
-    c = complexity(d)
-    for cycles, _ in spanning:
-        if len(cycles) > c:
-            raise CounterexampleError("spanning linear subdigraph with more cycles than complexity")
+    if most is not None and most > complexity(d):
+        raise CounterexampleError("spanning linear subdigraph with more cycles than complexity")
     return p
 
 
@@ -277,11 +281,12 @@ def verify_case_c_le_2(m_max: int) -> SearchReport:
     palindromic: dict[tuple, dict] = {}
 
     expected_12 = {"disjoint": -1, "plain": -2, "crossing": -3}
+    cores: dict = {}  # the sweep's core unions, walked once per labelled core
 
     for m in range(1, m_max + 1):
         for a1, dg in sweep_shape_11(m):
             total += 1
-            p = _census_checks(dg)
+            p = _census_checks(dg, cores)
             p1 = eval_at_one(p)
             p1_distribution[p1] = p1_distribution.get(p1, 0) + 1
             if p1 != -1:
@@ -292,7 +297,7 @@ def verify_case_c_le_2(m_max: int) -> SearchReport:
 
         for case, dg in sweep_shape_12(m):
             total += 1
-            p = _census_checks(dg)
+            p = _census_checks(dg, cores)
             p1 = eval_at_one(p)
             p1_distribution[p1] = p1_distribution.get(p1, 0) + 1
             if p1 != expected_12[case]:
@@ -308,7 +313,7 @@ def verify_case_c_le_2(m_max: int) -> SearchReport:
 
         for a1, a2, pp, qq, dg in sweep_shape_22(m):
             total += 1
-            p = _census_checks(dg)
+            p = _census_checks(dg, cores)
             a3 = pp + qq
             if p != two_cycle_polynomial(a1, a2, a3):
                 raise CounterexampleError(
@@ -411,11 +416,12 @@ def verify_case_odd_diagonal(k: int, m_max: int) -> SearchReport:
     n = 2 * k + 1
     total = 0
     p1_distribution: dict[int, int] = {}
+    cores: dict = {}  # the sweep's core unions, walked once per labelled core
 
     def handle(dg):
         nonlocal total
         total += 1
-        p = _census_checks(dg)
+        p = _census_checks(dg, cores)
         p1 = eval_at_one(p)
         p1_distribution[p1] = p1_distribution.get(p1, 0) + 1
         if p1 == 0:
@@ -503,7 +509,7 @@ def _cores(c: int, v_max: int) -> list[MultiDigraph]:
             for extra in _weak_compositions(rest, V):
                 col_sums = [base[v] + extra[v] for v in range(V)]
                 for grid in _margin_matrices(row_sums, col_sums):
-                    dg = MultiDigraph.from_rows(grid)
+                    dg = MultiDigraph._from_grid(grid)
                     if is_strongly_connected(dg):
                         found.setdefault(canonical_form(dg), dg)
     return [found[k] for k in sorted(found)]
@@ -529,7 +535,7 @@ def _subdivide(core: MultiDigraph, assignment) -> MultiDigraph:
                 nxt += interior
                 for u, v in zip(chain, chain[1:]):
                     grid[u][v] += 1
-    return MultiDigraph.from_rows(grid)
+    return MultiDigraph._from_grid(grid)
 
 
 def enumerate_digraphs(
@@ -834,8 +840,8 @@ def _ring_plus_one_tabulation(window_lo: int, window_hi: int) -> list[str]:
             for i in range(m):
                 for j in range(m):
                     total += 1
-                    p = IntPolynomial(polys[i][j])
-                    if classify_palindrome(p) is PalindromeClass.PALINDROMIC:
+                    cs = polys[i][j]
+                    if cs == cs[::-1]:  # monic, so palindromic in classify_palindrome's sense
                         palindromic += 1
                         if base.rows[i][j]:  # the placement doubles an existing edge
                             doubled_edge_palindromic += 1
@@ -914,7 +920,7 @@ def reconstruct_figure4() -> MultiDigraph:
                 break
         if not ok:
             continue
-        if tuple(_linear_subdigraph_census(rows)[0]) == target:
+        if tuple(_linear_subdigraph_census(*_grid_arcs(rows))[0]) == target:
             return MultiDigraph.from_rows(rows)
     raise FixtureNotFound(
         "no digraph with the stated polynomial and 7-cycle exists in the search space"

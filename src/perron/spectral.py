@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .charpoly import char_poly_ct
+from .charpoly import _edge_placement_coeffs, char_poly_ct
 from .digraph import MultiDigraph, complexity, is_primitive, is_strongly_connected
 from .errors import (
     Inconclusive,
@@ -340,9 +340,10 @@ def monotonicity_witness(
     if not is_strongly_connected(d):
         raise ParameterRangeError("monotonicity_witness requires a strongly connected digraph")
     i, j = extra_edge
-    d2 = d.with_edge(i, j)
+    if not (0 <= i < d.m and 0 <= j < d.m):
+        raise ParameterRangeError(f"edge ({i}, {j}) outside vertex range 0..{d.m - 1}")
     p1 = char_poly_ct(d)
-    p2 = char_poly_ct(d2)
+    p2 = IntPolynomial(_edge_placement_coeffs(d.rows, p1.coeffs)[i][j])
     if p1 == p2:
         b = largest_real_root(p1, tol)
         return b, b

@@ -3,12 +3,13 @@ import random
 import pytest
 
 from perron.charpoly import (
+    _core_census,
     _edge_placement_coeffs,
     char_poly_ct,
     char_poly_oracle,
     enumerate_linear_subdigraphs,
 )
-from perron.digraph import MultiDigraph, cycle_digraph
+from perron.digraph import MultiDigraph, _smooth, complexity, cycle_digraph
 from perron.errors import ParameterRangeError, ResourceLimitError
 from perron.fixtures import figure1, figure4
 from perron.polynomial import (
@@ -17,6 +18,7 @@ from perron.polynomial import (
     classify_palindrome,
     parse_polynomial,
 )
+from perron.search import sweep_ring, sweep_shape_11, sweep_shape_12, sweep_shape_22
 
 from conftest import random_digraph
 
@@ -160,3 +162,74 @@ def test_vertex_limits():
 def test_subdigraph_cap():
     with pytest.raises(ResourceLimitError):
         char_poly_ct(figure1(), cap=3)
+
+
+# ---------------------------------------------------------------------------
+# the polynomial summed over the smoothed core's unions
+# ---------------------------------------------------------------------------
+
+def core_polynomial(d, cores=None):
+    b, _ = _core_census(d.rows, {} if cores is None else cores)
+    return IntPolynomial(tuple(b))
+
+
+def swept_digraphs(m):
+    """Every digraph the verify sweeps build on m vertices: the (1,1), (1,2)
+    and (2,2) shapes and the rings of three and of five cycles."""
+    yield from (d for _, d in sweep_shape_11(m))
+    yield from (d for _, d in sweep_shape_12(m))
+    yield from (d for *_, d in sweep_shape_22(m))
+    for n in (3, 5):
+        yield from (d for *_, d in sweep_ring(n, m))
+
+
+def test_core_sum_matches_both_routes_on_every_small_swept_digraph():
+    cores = {}
+    seen = 0
+    for m in range(1, 10):
+        for d in swept_digraphs(m):
+            assert core_polynomial(d, cores) == char_poly_ct(d) == char_poly_oracle(d)
+            seen += 1
+    assert seen > 20 * len(cores)  # many digraphs share each labelled core
+
+
+def test_core_sum_matches_both_routes_on_a_sample_of_larger_swept_digraphs():
+    rng = random.Random(314159)
+    cores = {}
+    for m in range(10, 15):
+        sample = [d for d in swept_digraphs(m) if rng.random() < 0.004]
+        assert sample
+        for d in sample:
+            assert core_polynomial(d, cores) == char_poly_ct(d) == char_poly_oracle(d)
+
+
+def test_core_sum_matches_both_routes_on_random_multidigraphs(rng):
+    """Digraphs that need not be strongly connected, with sources, sinks,
+    loops, multiple edges and bare-cycle components."""
+    bare = [
+        cycle_digraph(6),  # a bare cycle: its core is one vertex with a loop of length 6
+        MultiDigraph.from_edges(1, [(0, 0)]),
+        # a triangle with a chord beside a bare 4-cycle on vertices 3..6
+        MultiDigraph.from_edges(7, [(0, 1), (1, 2), (2, 0), (1, 0), (3, 4), (4, 5), (5, 6), (6, 3)]),
+        MultiDigraph.from_edges(3, []),
+    ]
+    randoms = []
+    for _ in range(60 - len(bare)):
+        m = rng.randint(1, 9)
+        density = rng.uniform(0.5, 2.5) / m
+        grid = [[rng.randint(1, 2) if rng.random() < density else 0 for _ in range(m)] for _ in range(m)]
+        randoms.append(MultiDigraph.from_rows(grid))
+    for d in bare + randoms:
+        assert core_polynomial(d) == char_poly_ct(d) == char_poly_oracle(d)
+        V, arcs, lengths, weights = _smooth(d.rows)
+        assert sum(weights) - V == complexity(d)
+    assert _smooth(bare[0].rows) == (1, [(0, 0)], [6], [1])
+    assert _smooth(bare[2].rows)[0] == 3  # two branch vertices and one kept from the 4-cycle
+
+
+def test_core_census_reports_the_largest_spanning_union(rng):
+    for _ in range(40):
+        d = random_digraph(rng, m_max=7)
+        _, most = _core_census(d.rows, {})
+        spanning = enumerate_linear_subdigraphs(d, d.m)
+        assert most == (max(L.cycle_count for L in spanning) if spanning else None)

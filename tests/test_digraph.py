@@ -14,8 +14,9 @@ from perron.digraph import (
     is_strongly_connected,
 )
 from perron.errors import ParameterRangeError, ResourceLimitError
-from perron.families import build_shape_22
+from perron.families import build_shape_22, build_shape_nc, ring_shape
 from perron.fixtures import figure1, figure4
+from perron.io import parse_digraph
 
 from conftest import random_digraph
 
@@ -202,3 +203,37 @@ def test_rejects_bad_grids():
         MultiDigraph.from_rows([[0, 1], [0]])
     with pytest.raises(ParameterRangeError):
         MultiDigraph.from_rows([[-1]])
+
+
+def test_public_constructors_reject_bad_grids():
+    """The public paths validate every entry: negative, non-integer and
+    non-square input is refused with the one error kind."""
+    for rows in ([[-1]], [[0, 1], [1, -2]], [[1.5]], [["1"]], [[None]], [[0, 1]], [[0], [1]], []):
+        with pytest.raises(ParameterRangeError):
+            MultiDigraph.from_rows(rows)
+        with pytest.raises(ParameterRangeError):
+            MultiDigraph(tuple(map(tuple, rows)))
+    for edges in ([(0, 1, -2)], [(0, 1, 1.5)], [(0, 2)], [(-1, 0)]):
+        with pytest.raises(ParameterRangeError):
+            MultiDigraph.from_edges(2, edges)
+    for text in ("2\n1 2 -1\n", "2\n1 2 1.5\n", "2\n1 3\n", "0\n", "2\n1 2 3 4\n"):
+        with pytest.raises(ParameterRangeError):
+            parse_digraph(text)
+    assert MultiDigraph.from_rows([[True, 0], [0, 2]]).rows == ((1, 0), (0, 2))
+
+
+def test_internal_builders_keep_the_grid_invariant():
+    """Digraphs the library builds without revalidation hold the same square
+    grid of non-negative ints that full validation would accept."""
+    built = [
+        cycle_digraph(5),
+        cycle_digraph(4).with_edge(1, 3, 2),
+        figure1().permuted([(v * 5) % 14 for v in range(14)]),
+        build_shape_nc(ring_shape((2, 3, 4), (1, 0, 2))),
+    ]
+    for d in built:
+        assert MultiDigraph.from_rows(d.rows) == d
+        assert all(type(t) is int and t >= 0 for row in d.rows for t in row)
+    for k in (0, -1, 1.5, "1"):
+        with pytest.raises(ParameterRangeError):
+            cycle_digraph(3).with_edge(0, 1, k)

@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from perron.charpoly import char_poly_ct, char_poly_oracle
+from perron.charpoly import _core_census, char_poly_ct, char_poly_oracle
 from perron.digraph import complexity, is_primitive
 from perron.errors import ParameterRangeError
 from perron.families import (
@@ -15,6 +15,7 @@ from perron.families import (
     lt_polynomial,
     ring_shape,
     ring_shape_with_through,
+    two_cycle_polynomial,
 )
 from perron.polynomial import (
     IntPolynomial,
@@ -23,6 +24,7 @@ from perron.polynomial import (
     eval_at_one,
     parse_polynomial,
 )
+from perron.search import _partitions_exact
 
 
 def test_lt_examples():
@@ -158,6 +160,46 @@ def test_ring4_matches_c4_polynomial():
         for a_vec in partitions(2 * d, 4, 2):
             shape = ring_shape_with_through(a_vec, d)
             assert char_poly_ct(build_shape_nc(shape)) == c4_polynomial(d, a_vec)
+
+
+def test_family_formulas_are_the_core_sum():
+    """Each family formula is the sum over the unions of its shape's smoothed
+    core, with the cycle lengths as arc lengths."""
+
+    def core_sum(d, cores):
+        return IntPolynomial(tuple(_core_census(d.rows, cores)[0]))
+
+    cores = {}
+    for m in range(2, 17):
+        for a1 in range(1, m):
+            a2 = m - a1
+            for p in range(1, a1 + 1):
+                for q in range(1, a2 + 1):
+                    d = build_shape_22(a1, a2, p, q)
+                    assert core_sum(d, cores) == two_cycle_polynomial(a1, a2, p + q)
+    assert len(cores) == 4  # the through-cycle enters and leaves each cycle at one vertex or two
+
+    cores = {}
+    for d_half in range(4, 11):
+        for a_vec in _partitions_exact(2 * d_half, 4, 2):
+            for exits in _exits_through(a_vec, d_half):
+                d = build_shape_nc(ring_shape(a_vec, exits))
+                assert core_sum(d, cores) == c4_polynomial(d_half, a_vec)
+    assert len(cores) == 16
+
+
+def _exits_through(lengths, through):
+    """Every exit-offset tuple whose ring through-cycle has the given length."""
+    def rec(k, need):
+        if k == len(lengths):
+            if need == 0:
+                yield ()
+            return
+        for e in range(min(lengths[k] - 1, need) + 1):
+            for rest in rec(k + 1, need - e):
+                yield (e,) + rest
+
+    yield from rec(0, through - len(lengths))
 
 
 def test_ring4_through_placement_does_not_change_polynomial():

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 from pathlib import Path
@@ -319,3 +320,64 @@ def test_cli_determinism(fig1_path):
     assert runs[0] == runs[1]
     runs = [invoke("charpoly", fig1_path) for _ in range(2)]
     assert runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------------------
+# CLI fuzzing: any text gets an exit code of 0, 1 or 2 and at most one
+# line on stderr, never a traceback
+# ---------------------------------------------------------------------------
+
+# polynomial-like text reaches the parsers' deeper branches; arbitrary text the rest
+FUZZ_TEXT = st.text(alphabet=st.sampled_from("x^+-*/0123456789 .e[],()\t\n"), max_size=30) | st.text(
+    max_size=20
+)
+
+
+def invoke_capturing_usage(argv):
+    """Exit code and all of stderr: the CLI's error stream and what the
+    argument parser writes to the process's stderr."""
+    out, err, usage = io.StringIO(), io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(usage):
+        code = run(argv, out=out, err=err)
+    return code, err.getvalue() + usage.getvalue()
+
+
+def assert_one_line_outcome(code, stderr):
+    assert code in (0, 1, 2)
+    assert stderr.count("\n") <= 1
+    assert (code == 0) == (stderr == "")
+    if stderr:
+        assert stderr.startswith("error: ") and stderr.endswith("\n")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    poly=FUZZ_TEXT,
+    tol=st.none() | FUZZ_TEXT,
+    digits=st.none() | FUZZ_TEXT | st.integers(-5, 50).map(str),
+)
+def test_cli_root_fuzz(poly, tol, digits):
+    argv = ["root"]
+    if tol is not None:
+        argv.append(f"--tol={tol}")
+    if digits is not None:
+        argv.append(f"--digits={digits}")
+    assert_one_line_outcome(*invoke_capturing_usage(argv + ["--", poly]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    content=st.text(alphabet=st.sampled_from("0123456789 \n#-x\t"), max_size=60) | st.text(max_size=30),
+    method=st.sampled_from(["ct", "oracle", "both"]),
+)
+def test_cli_charpoly_fuzz(tmp_path_factory, content, method):
+    path = tmp_path_factory.mktemp("fuzz") / "digraph.dg"
+    path.write_text(content, encoding="utf-8")
+    assert_one_line_outcome(*invoke_capturing_usage(["charpoly", str(path), "--method", method]))
+
+
+def test_cli_usage_errors_take_one_line():
+    for argv in (["root", "--digits", "five", "x"], ["frobnicate"], [], ["verify", "c2"]):
+        code, stderr = invoke_capturing_usage(argv)
+        assert code == 2
+        assert stderr.startswith("error: usage: perron") and stderr.count("\n") == 1

@@ -1,3 +1,4 @@
+import itertools
 import json
 from collections import Counter
 from fractions import Fraction
@@ -9,6 +10,7 @@ import perron.search
 from perron.charpoly import char_poly_ct
 from perron.digraph import (
     MultiDigraph,
+    _smooth,
     canonical_form,
     complexity,
     is_strongly_connected,
@@ -24,6 +26,10 @@ from perron.search import (
     count_realizations,
     enumerate_digraphs,
     genus_candidates,
+    sweep_ring,
+    sweep_shape_11,
+    sweep_shape_12,
+    sweep_shape_22,
     verify_case_c_le_2,
     verify_case_odd_diagonal,
 )
@@ -190,7 +196,9 @@ def test_verify_odd_diagonal():
         verify_case_odd_diagonal(3, 8)
 
 
-def test_each_swept_digraph_walks_its_cycles_once(monkeypatch):
+def test_each_labelled_core_is_walked_once_per_sweep(monkeypatch):
+    """A sweep walks the cycles of each distinct labelled core once, and keeps
+    no cores after it returns: a second run walks them all again."""
     calls = 0
     walk = perron.charpoly._weighted_cycles
 
@@ -199,12 +207,34 @@ def test_each_swept_digraph_walks_its_cycles_once(monkeypatch):
         calls += 1
         return walk(*args, **kwargs)
 
+    def labelled_cores(digraphs):
+        keys = set()
+        for d in digraphs:
+            V, arcs, _, _ = _smooth(d.rows)
+            keys.add((V, tuple(arcs)))
+        return len(keys)
+
+    c2_digraphs = [
+        d
+        for m in range(1, 7)
+        for d in itertools.chain(
+            (d for _, d in sweep_shape_11(m)),
+            (d for _, d in sweep_shape_12(m)),
+            (d for *_, d in sweep_shape_22(m)),
+        )
+    ]
+    ring_digraphs = [d for m in range(3, 8) for *_, d in sweep_ring(3, m)]
     monkeypatch.setattr(perron.charpoly, "_weighted_cycles", counting)
-    for sweep in (lambda: verify_case_c_le_2(6), lambda: verify_case_odd_diagonal(1, 7)):
-        calls = 0
-        report = sweep()
-        assert report.total > 0
-        assert calls == report.total
+    for sweep, digraphs in (
+        (lambda: verify_case_c_le_2(6), c2_digraphs),
+        (lambda: verify_case_odd_diagonal(1, 7), ring_digraphs),
+    ):
+        cores = labelled_cores(digraphs)
+        for _ in range(2):
+            calls = 0
+            report = sweep()
+            assert report.total == len(digraphs)
+            assert calls == cores < report.total
 
 
 def test_genus_candidates_g11():
