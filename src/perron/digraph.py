@@ -92,10 +92,10 @@ class MultiDigraph:
 
     def edges(self):
         """Yield (i, j, k) for every present edge slot, k >= 1, in row-major order."""
+        vertices = range(self.m)
         for i, row in enumerate(self.rows):
-            for j, k in enumerate(row):
-                if k:
-                    yield i, j, k
+            for j in compress(vertices, row):
+                yield i, j, row[j]
 
     def with_edge(self, i: int, j: int, k: int = 1) -> "MultiDigraph":
         """A copy with k more parallel edges i -> j."""

@@ -7,6 +7,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .errors import ParameterRangeError, ResourceLimitError
@@ -58,6 +59,16 @@ class IntPolynomial:
     @property
     def is_monic(self) -> bool:
         return self.coeffs[0] == 1
+
+    @cached_property
+    def _trace(self) -> tuple[int, ...] | None:
+        """The trace polynomial q of a palindromic p of even degree 2d, with
+        p(x) = x^d q(x + 1/x) (see ``_trace_coeffs``); None for any other p.
+        Computed at most once per polynomial."""
+        cs = self.coeffs
+        if len(cs) % 2 == 0 or cs != cs[::-1]:
+            return None
+        return _trace_coeffs(cs)
 
     def b(self, i: int) -> int:
         """Coefficient of x^(degree - i); b(0) is the leading coefficient."""
@@ -220,6 +231,29 @@ def _primitive(cs):
     return [c // g for c in cs]
 
 
+def _trace_coeffs(cs) -> tuple[int, ...]:
+    """Descending coefficients of q with p(x) = x^d q(x + 1/x), for the
+    palindromic list cs of p, of length 2d + 1.
+
+    p/x^d = sum_j r_j (x^j + x^-j) with r_j the coefficient of x^(d+j); the
+    top term r_d (x + 1/x)^d carries every power x^(d-2i) with C(d, i), so
+    peeling it off leaves a shorter palindrome.  The binomial recurrence
+    divides exactly.
+    """
+    d = len(cs) // 2
+    r = list(cs[d::-1])  # r[j] is the coefficient of x^(d+j), 0 <= j <= d
+    q = [0] * (d + 1)  # ascending
+    for k in range(d, 0, -1):
+        t = q[k] = r[k]
+        if t:
+            binom = 1
+            for i in range(1, k // 2 + 1):
+                binom = binom * (k - i + 1) // i
+                r[k - 2 * i] -= t * binom
+    q[0] = r[0]
+    return tuple(q[::-1])
+
+
 def _derivative(cs):
     d = len(cs) - 1
     return [c * (d - i) for i, c in enumerate(cs[:-1])]
@@ -231,7 +265,9 @@ def _sign_at(cs, num: int, den: int) -> int:
     dp = 1
     for c in cs[1:]:
         dp *= den
-        acc = acc * num + c * dp
+        acc *= num
+        if c:  # the family polynomials are sparse
+            acc += c * dp
     return (acc > 0) - (acc < 0)
 
 

@@ -602,12 +602,13 @@ def _ring_placements(m: int, c: int, n: int, cap: int):
     """The placements of the ring-arrangement sweep, grouped by all but the
     last extra edge.
 
-    Checks the placement estimate against the cap before building anything,
-    then yields ``(dg, slots)`` for each ring of n disjoint cycles plus a
-    prefix of the c - n extra edges: the last edge takes each slot in
-    ``slots`` (slot s is the edge s // m -> s % m), which walks the
-    ``combinations_with_replacement`` order of all extra edges.  With no extra
-    edge, ``slots`` is None and ``dg`` is the placement itself.
+    Checks the placement estimate against the cap before building anything
+    (summing only until it passes the cap), then yields ``(dg, slots)`` for
+    each ring of n disjoint cycles plus a prefix of the c - n extra edges: the
+    last edge takes each slot in ``slots`` (slot s is the edge s // m -> s % m),
+    which walks the ``combinations_with_replacement`` order of all extra
+    edges.  With no extra edge, ``slots`` is None and ``dg`` is the placement
+    itself.
     """
     if n < 1 or c < n:
         raise ParameterRangeError("shape-restricted enumeration needs 1 <= n <= c")
@@ -615,16 +616,26 @@ def _ring_placements(m: int, c: int, n: int, cap: int):
         return
     extra_edges = c - n
     placements = m * m
+    # each ring walks placements**extra_edges placements, raised only until it
+    # passes the cap, and builds at least its extra_edges - 1 prefix edges
+    per_ring = 1
+    if placements > 1:
+        for _ in range(extra_edges):
+            per_ring *= placements
+            if per_ring > cap:
+                break
+    per_ring = max(per_ring, extra_edges)
     estimate = 0
     for lengths in _compositions(m, n):
         prod = 1
         for l in lengths:
             prod *= l
-        estimate += prod * placements**extra_edges
-    if estimate > cap:
-        raise ResourceLimitError(
-            f"shape placement estimate {estimate} exceeds cap {cap}", estimate=estimate
-        )
+        estimate += prod * per_ring
+        if estimate > cap:
+            raise ResourceLimitError(
+                f"shape placement estimate of at least {estimate} exceeds cap {cap}",
+                estimate=estimate,
+            )
     for _, _, base in sweep_ring(n, m):
         if extra_edges == 0:
             yield base, None

@@ -4,6 +4,13 @@ the complexity bound check, and spectral monotonicity witnesses.
 Every polynomial sign here is an exact integer computation at a rational
 point; floating point only appears when a bracket is rendered as a decimal
 string.
+
+A palindromic p of even degree 2d is p(x) = x^d q(x + 1/x) with q the integer
+trace polynomial of degree d (``IntPolynomial._trace``).  For x > 0 the sign
+of p(x) is the sign of q(x + 1/x), and x -> x + 1/x maps [1, oo) increasingly
+onto [2, oo), so the roots of p above a point x >= 1 correspond one to one,
+multiplicities included, to the roots of q above x + 1/x.  Every sign and root
+count of such a p at points >= 1 is therefore read from q, at half the degree.
 """
 
 from __future__ import annotations
@@ -124,22 +131,44 @@ def _sturm_chain(cs):
     return [c for c in chain if c]
 
 
+def _same_point(num: int, den: int) -> tuple[int, int]:
+    return num, den
+
+
+def _trace_point(num: int, den: int) -> tuple[int, int]:
+    """x + 1/x at x = num/den > 0, as (numerator, positive denominator)."""
+    return num * num + den * den, num * den
+
+
+def _view(p: IntPolynomial, x=1):
+    """The coefficient list and point map from which the signs and root counts
+    of p at points >= x are read: the trace polynomial at x + 1/x when x >= 1
+    and p is palindromic of even degree, else p itself at x."""
+    if x >= 1:
+        q = p._trace
+        if q is not None:
+            return q, _trace_point
+    return p.coeffs, _same_point
+
+
 def _variations(chain, num: int, den: int) -> int:
     signs = [s for s in (_sign_at(cs, num, den) for cs in chain) if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def descartes_roots_above(p: IntPolynomial, x: Fraction) -> int:
-    """Sign-variation count of p shifted to (x, oo); an upper bound on the
-    number of real roots there, exact whenever it returns 0 or 1."""
+    """Sign-variation count of p shifted to (x, oo), or of its trace polynomial
+    shifted to (x + 1/x, oo) when that is how ``_view`` reads p; an upper bound
+    on the number of real roots of p above x, with the same parity, exact
+    whenever it returns 0 or 1."""
     x = to_fraction(x)
-    num, den = x.numerator, x.denominator
-    d = p.degree
-    # scaled Taylor shift: den^d * p((num + y)/den) is an integer polynomial in y
-    # whose positive roots correspond to roots of p above x
-    work = [c * den**i for i, c in enumerate(p.coeffs)]
+    cs, point = _view(p, x)
+    num, den = point(x.numerator, x.denominator)
+    # scaled Taylor shift: den^d * f((num + y)/den) is an integer polynomial in y
+    # whose positive roots correspond to roots of f above num/den
+    work = [c * den**i for i, c in enumerate(cs)]
     shifted = []
-    for _ in range(d + 1):
+    for _ in range(len(cs)):
         # one synthetic division by (z - num); the remainder is the next coefficient
         for i in range(1, len(work)):
             work[i] += work[i - 1] * num
@@ -185,12 +214,13 @@ def _sturm_bracket(p: IntPolynomial, tolf: Fraction) -> RootResult:
     The endpoints are a/2^k and b/2^k, so only integer signs are computed.
     """
     U = _cauchy_bound(p)
-    q = _squarefree(p.coeffs)
+    cs, point = _view(p)
+    q = _squarefree(cs)
     chain = _sturm_chain(q)
 
-    v_lo, v_hi = _variations(chain, 1, 1), _variations(chain, U, 1)
+    v_lo, v_hi = _variations(chain, *point(1, 1)), _variations(chain, *point(U, 1))
     if v_lo == v_hi:
-        if _sign_at(q, 1, 1) == 0:
+        if _sign_at(q, *point(1, 1)) == 0:
             return RootResult(Fraction(1), Fraction(1), 0, 0)
         raise NoRootAtLeastOne(f"no real root >= 1 for {p}")
 
@@ -200,33 +230,33 @@ def _sturm_bracket(p: IntPolynomial, tolf: Fraction) -> RootResult:
     while v_lo - v_hi > 1:
         mid = a + b
         a, b, k = 2 * a, 2 * b, k + 1
-        vm = _variations(chain, mid, 1 << k)  # at a root of q, the count just right of it
+        vm = _variations(chain, *point(mid, 1 << k))  # at a root, the count just right of it
         if vm > v_hi:
             a, v_lo = mid, vm
-        elif _sign_at(q, mid, 1 << k) == 0:
+        elif _sign_at(q, *point(mid, 1 << k)) == 0:
             x = Fraction(mid, 1 << k)
             return RootResult(x, x, 0, 0)
         else:
             b = mid
     # phase 2: plain sign bisection inside the isolating interval
-    a, b, k = _sign_bisection(q, a, b, k, tolf)
+    a, b, k = _sign_bisection(q, a, b, k, tolf, point)
     return RootResult(
         Fraction(a, 1 << k),
         Fraction(b, 1 << k),
-        _sign_at(p.coeffs, a, 1 << k),
-        _sign_at(p.coeffs, b, 1 << k),
+        _sign_at(cs, *point(a, 1 << k)),
+        _sign_at(cs, *point(b, 1 << k)),
     )
 
 
-def _sign_bisection(cs, a: int, b: int, k: int, tolf: Fraction) -> tuple[int, int, int]:
-    """Halve [a/2^k, b/2^k] around the one sign change of cs inside it, from
-    negative to positive, until the width is <= tolf; returns (a, b, k), with
-    a == b when a midpoint is the root."""
+def _sign_bisection(cs, a: int, b: int, k: int, tolf: Fraction, point) -> tuple[int, int, int]:
+    """Halve [a/2^k, b/2^k] around the one sign change of cs at point(x) inside
+    it, from negative to positive, until the width is <= tolf; returns
+    (a, b, k), with a == b when a midpoint is the root."""
     tn, td = tolf.as_integer_ratio()
     while (b - a) * td > tn << k:
         mid = a + b
         a, b, k = 2 * a, 2 * b, k + 1
-        s = _sign_at(cs, mid, 1 << k)
+        s = _sign_at(cs, *point(mid, 1 << k))
         if s == 0:
             return mid, mid, k
         if s < 0:
@@ -248,7 +278,8 @@ def fast_bracket_at_least_one(p: IntPolynomial, tol) -> RootResult | None:
     """
     if not p.is_monic or p.degree < 1 or eval_at_one(p) >= 0:
         return None
-    a, b, k = _sign_bisection(p.coeffs, 1, _cauchy_bound(p), 0, _positive_tol(tol))
+    cs, point = _view(p)
+    a, b, k = _sign_bisection(cs, 1, _cauchy_bound(p), 0, _positive_tol(tol), point)
     lo = Fraction(a, 1 << k)
     if a == b:
         return RootResult(lo, lo, 0, 0) if descartes_roots_above(p, lo) == 0 else None
@@ -259,12 +290,12 @@ def fast_bracket_at_least_one(p: IntPolynomial, tol) -> RootResult | None:
 
 def count_roots_above(p: IntPolynomial, x: Fraction) -> int:
     """Exact number of distinct real roots of p in (x, oo), by Sturm."""
-    q = _squarefree(p.coeffs)
-    chain = _sturm_chain(q)
     x = to_fraction(x)
+    cs, point = _view(p, x)
+    chain = _sturm_chain(_squarefree(cs))
     U = max(Fraction(_cauchy_bound(p)), x + 1)
-    return _variations(chain, x.numerator, x.denominator) - _variations(
-        chain, U.numerator, U.denominator
+    return _variations(chain, *point(x.numerator, x.denominator)) - _variations(
+        chain, *point(U.numerator, U.denominator)
     )
 
 
@@ -272,7 +303,11 @@ def pf_eigenvalue(d: MultiDigraph, tol=DEFAULT_TOL, max_iter: int = 500_000) -> 
     """Spectral radius bracket by power iteration with Collatz-Wielandt bounds.
 
     For primitive T and positive v, min_i (Tv)_i/v_i and max_i (Tv)_i/v_i
-    bracket the Perron eigenvalue; iterating v <- Tv tightens the bracket.
+    bracket the Perron eigenvalue rho.  Iterating v <- (T + I)v tightens the
+    bracket.  T + I has the same Perron vector, and the shift moves the other
+    eigenvalues, which lie near the circle of radius rho when T has long
+    cycles, well inside the circle of radius rho + 1; v <- Tv converges far
+    more slowly there.
     """
     if not is_primitive(d):
         raise ParameterRangeError("pf_eigenvalue requires a primitive digraph")
@@ -292,6 +327,7 @@ def pf_eigenvalue(d: MultiDigraph, tol=DEFAULT_TOL, max_iter: int = 500_000) -> 
             best_hi = hi
         if best_hi - best_lo <= tolf:
             return RootResult(best_lo, best_hi, None, None)
+        w = [x + y for x, y in zip(w, v)]  # (T + I)v
         g = 0
         for x in w:
             g = gcd(g, x)

@@ -237,3 +237,10 @@ def test_internal_builders_keep_the_grid_invariant():
     for k in (0, -1, 1.5, "1"):
         with pytest.raises(ParameterRangeError):
             cycle_digraph(3).with_edge(0, 1, k)
+
+
+def test_edges_lists_the_present_slots_in_row_major_order(rng):
+    for _ in range(30):
+        d = random_digraph(rng, m_max=9, mult_max=3)
+        dense = [(i, j, d.rows[i][j]) for i in range(d.m) for j in range(d.m) if d.rows[i][j]]
+        assert list(d.edges()) == dense

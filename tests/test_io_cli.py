@@ -381,3 +381,38 @@ def test_cli_usage_errors_take_one_line():
         code, stderr = invoke_capturing_usage(argv)
         assert code == 2
         assert stderr.startswith("error: usage: perron") and stderr.count("\n") == 1
+
+
+def test_cli_count_refuses_a_huge_c_before_building():
+    # the estimate stops growing once past the cap, so neither the power
+    # (m m)^(c - n) nor the c - 2 prefix edges of the one-vertex ring are built
+    for poly, n in (("x^4-x-1", "2"), ("x-1", "1")):
+        code, stderr = invoke_capturing_usage(["count", poly, "--n", n, "--c", str(10**9)])
+        assert code == 1
+        assert stderr.startswith("error: resource-limit: ") and stderr.count("\n") == 1
+
+
+def _poly_text(coeffs, listed):
+    if listed:
+        return "[" + ",".join(map(str, coeffs)) + "]"
+    terms = [f"{c}x^{len(coeffs) - 1 - i}" for i, c in enumerate(coeffs)]
+    return " + ".join(terms).replace("+ -", "- ")
+
+
+# small integers, integers of every size, those above 10^9 included, and
+# arbitrary text
+COUNT_ARG = (
+    st.integers(-2, 9) | st.integers() | st.integers(min_value=10**9)
+).map(str) | st.text(max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    coeffs=st.lists(st.integers(-3, 3), min_size=1, max_size=7),
+    listed=st.booleans(),
+    n=COUNT_ARG,
+    c=COUNT_ARG,
+)
+def test_cli_count_fuzz(coeffs, listed, n, c):
+    argv = ["count", f"--n={n}", f"--c={c}", "--", _poly_text(coeffs, listed)]
+    assert_one_line_outcome(*invoke_capturing_usage(argv))

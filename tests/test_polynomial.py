@@ -145,3 +145,39 @@ def test_pseudo_division_identity(a, b):
         all(abs(b[0]) ** k * ev(a, t) == ev(q, t) * ev(b, t) + ev(r, t) for t in points)
         for k in range(len(a) + 1)
     )
+
+
+@given(
+    half=st.lists(st.integers(-6, 6) | st.just(0), min_size=1, max_size=12),
+    lead=st.integers(-3, 3),
+)
+def test_trace_polynomial_identity(half, lead):
+    # p(x) = x^d q(x + 1/x) for a palindromic p of degree 2d, d = 0 included
+    half = [lead] + half[1:]
+    cs = tuple(half + half[-2::-1])
+    p = IntPolynomial(cs)
+    d = len(half) - 1
+    q = IntPolynomial(p._trace)
+    assert q.degree == d
+    for x in (Fraction(3, 2), Fraction(-2, 7), Fraction(5), Fraction(1), Fraction(-1)):
+        assert p(x) == x**d * q(x + 1 / x)
+
+
+def test_trace_polynomial_examples():
+    assert IntPolynomial((1, 0, 0, 0, 1))._trace == (1, 0, -2)  # x^2 + x^-2 = y^2 - 2
+    assert IntPolynomial((1, -3, 1))._trace == (1, -3)
+    assert IntPolynomial((7,))._trace == (7,)
+    # x^7 + x^-7 - (x + 1/x) - 1 = (y^7 - 7y^5 + 14y^3 - 7y) - y - 1
+    assert FIG1._trace == (1, 0, -7, 0, 14, 0, -8, -1)
+    # only palindromes of even degree have one
+    assert IntPolynomial((1, -2, -2, 1))._trace is None
+    assert FIG4._trace is None
+    assert parse_polynomial("x^2 - x - 1")._trace is None
+
+
+def test_trace_polynomial_is_computed_once():
+    p = parse_polynomial("x^24 - x^13 - x^12 - x^11 + 1")
+    assert "_trace" not in vars(p)
+    first = p._trace
+    assert p._trace is first
+    assert p == parse_polynomial("x^24 - x^13 - x^12 - x^11 + 1")  # equality ignores the cache

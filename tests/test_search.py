@@ -16,7 +16,7 @@ from perron.digraph import (
     is_strongly_connected,
 )
 from perron.errors import ParameterRangeError, ResourceLimitError
-from perron.families import lt_polynomial
+from perron.families import hironaka_bound, lt_polynomial
 from perron.fixtures import figure4
 from perron.polynomial import IntPolynomial, format_polynomial, parse_polynomial
 from perron.search import (
@@ -32,6 +32,7 @@ from perron.search import (
     sweep_shape_22,
     verify_case_c_le_2,
     verify_case_odd_diagonal,
+    _decide_candidate,
 )
 
 
@@ -289,3 +290,15 @@ def test_figure4_fixture_properties():
     assert all(d.mult(cyc[t], cyc[(t + 1) % 7]) >= 1 for t in range(7))
     assert complexity(d) == 6
     assert d.edge_count == 15
+
+
+def test_decide_reads_no_trace_for_candidates_the_bound_sign_eliminates():
+    tol = Fraction(1, 10**7)
+    bound = hironaka_bound(6, tol)
+    task = lambda p: (p, bound.bound.lo, bound.bound.hi, lt_polynomial(bound.d, bound.a), tol)
+    above = lt_polynomial(6, 1)  # root 1.29..., far above the bound
+    assert _decide_candidate(task(above))[0] == "eliminated"
+    assert "_trace" not in vars(above)
+    below = lt_polynomial(15, 14)
+    assert _decide_candidate(task(below))[0] == "survivor"
+    assert vars(below)["_trace"] is not None

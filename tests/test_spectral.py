@@ -21,7 +21,11 @@ from perron.spectral import (
     largest_real_root,
     monotonicity_witness,
     pf_eigenvalue,
+    _same_point,
+    _sign_bisection,
     _sturm_bracket,
+    _trace_point,
+    _view,
 )
 
 from conftest import random_primitive_digraph
@@ -315,3 +319,136 @@ def test_decimal_rendering():
     assert r.decimal(1) == "2.0"
     with pytest.raises(ParameterRangeError):
         r.decimal(0)
+
+
+# ---------------------------------------------------------------------------
+# palindromic inputs: signs and counts read from the trace polynomial
+# ---------------------------------------------------------------------------
+
+BRACKET_TOLS = (Fraction(1, 10**7), Fraction(1, 10**10), Fraction(3, 1000))
+
+
+def _palindromic_cases():
+    polys = [lt_polynomial(d, a) for d, a in ((6, 1), (9, 4), (13, 12), (18, 7))]
+    polys += [
+        c4_polynomial(d, parts)
+        for d, parts in ((6, (2, 4, 3, 3)), (11, (3, 8, 5, 6)), (15, (5, 10, 2, 13)))
+    ]
+    squared = (lt_polynomial(4, 1), lt_polynomial(9, 5))
+    polys += [IntPolynomial(tuple(_mul(f.coeffs, f.coeffs))) for f in squared]
+    rng = random.Random(20110101)
+    for _ in range(12):
+        half = [1] + [rng.randint(-3, 3) for _ in range(rng.randint(1, 7))]
+        polys.append(IntPolynomial(tuple(half + half[-2::-1])))
+    return polys
+
+
+def test_palindromic_brackets_are_grid_cells_holding_the_root():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rational = lambda q: sympy.Rational(q.numerator, q.denominator)
+    for p in _palindromic_cases():
+        assert _view(p)[1] is _trace_point
+        f = sympy.Poly(list(p.coeffs), x).sqf_part()
+        U = 1 + max(abs(c) for c in p.coeffs[1:])
+        if f.count_roots(1, None) == 0:
+            with pytest.raises(NoRootAtLeastOne):
+                largest_real_root(p, TOL)
+            continue
+        for tol in BRACKET_TOLS:
+            r = largest_real_root(p, tol)
+            fast = fast_bracket_at_least_one(p, tol)
+            assert fast is None or fast == r
+            assert _sturm_bracket(p, tol) == r
+            lo, hi = rational(r.lo), rational(r.hi)
+            assert f.count_roots(lo, hi) == 1, (p, tol)
+            assert f.count_roots(hi, None) == (1 if lo == hi else 0), (p, tol)
+            if lo == hi:
+                continue
+            # the cell of the dyadic grid on [1, U] at the first level no wider than tol
+            level = 0
+            while Fraction(U - 1, 2**level) > tol:
+                level += 1
+            width = Fraction(U - 1, 2**level)
+            assert r.width == width
+            assert ((r.lo - 1) / width).denominator == 1
+
+
+def test_palindromic_counts_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rational = lambda q: sympy.Rational(q.numerator, q.denominator)
+    points = [Fraction(-3), Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1)]
+    points += [Fraction(21, 20), Fraction(3, 2), Fraction(5, 2), Fraction(4)]
+    for p in _palindromic_cases():
+        with_multiplicity = sympy.Poly(list(p.coeffs), x).real_roots()
+        roots = list(dict.fromkeys(with_multiplicity))
+        for t in points:
+            above = sum(1 for r in roots if r > rational(t))
+            assert count_roots_above(p, t) == above, (p, t)
+            # Descartes bounds the count with multiplicity, with its parity,
+            # and is exact at 0 or 1
+            exact = sum(1 for r in with_multiplicity if r > rational(t))
+            bound = descartes_roots_above(p, t)
+            assert bound >= exact and (bound - exact) % 2 == 0, (p, t)
+            if bound <= 1:
+                assert bound == exact
+
+
+def test_palindromic_root_exactly_one():
+    # (x - 1)^2 (x^2 + 1): the largest real root is 1, where y = x + 1/x is 2
+    p = parse_polynomial("x^4 - 2x^3 + 2x^2 - 2x + 1")
+    assert p._trace == (1, -2, 0)  # (y - 2) y
+    r = largest_real_root(p, TOL)
+    assert r.lo == r.hi == 1 and r.sign_lo == r.sign_hi == 0
+    assert count_roots_above(p, Fraction(1)) == 0
+    assert count_roots_above(p, Fraction(1, 2)) == 1
+    assert descartes_roots_above(p, Fraction(1)) == 0
+
+
+def test_palindromic_repeated_top_root():
+    # (x^2 - 3x + 1)^2: a double root at (3 + sqrt 5)/2 = 2.6180339887...
+    p = parse_polynomial("x^4 - 6x^3 + 11x^2 - 6x + 1")
+    assert fast_bracket_at_least_one(p, TOL) is None  # p(1) > 0
+    r = largest_real_root(p, TOL)
+    assert r == _sturm_bracket(p, TOL)
+    assert r.lo < Fraction(26180339887, 10**10) < r.hi
+    assert r.sign_lo == r.sign_hi == 1
+    assert count_roots_above(p, r.lo) == 1 and count_roots_above(p, r.hi) == 0
+
+
+def test_palindromic_point_at_an_exact_root():
+    # (2x - 1)(x - 2)(x^2 - 3x + 1): 2 is a root and its image y = 5/2 a root of q
+    p = IntPolynomial(tuple(_mul([2, -5, 2], [1, -3, 1])))
+    assert _view(p)[1] is _trace_point
+    assert count_roots_above(p, Fraction(2)) == 1
+    assert count_roots_above(p, Fraction(1)) == 2
+    assert count_roots_above(p, Fraction(3)) == 0
+    assert descartes_roots_above(p, Fraction(2)) == 1
+    assert descartes_roots_above(p, Fraction(3)) == 0
+    # the bisection on [1, 3] stops at its first midpoint, the root 2 = 4/2^1,
+    # whether it reads (2x - 1)(x - 2) at x or its trace 2y - 5 at x + 1/x
+    f = IntPolynomial((2, -5, 2))
+    assert f._trace == (2, -5)
+    assert _sign_bisection(f._trace, 1, 3, 0, TOL, _trace_point) == (4, 4, 1)
+    assert _sign_bisection(f.coeffs, 1, 3, 0, TOL, _same_point) == (4, 4, 1)
+
+
+def test_odd_degree_palindrome_keeps_the_p_route():
+    # (x + 1)(x^2 - 3x + 1) is palindromic of odd degree: no trace polynomial
+    p = parse_polynomial("x^3 - 2x^2 - 2x + 1")
+    assert p._trace is None and _view(p)[1] is _same_point
+    for tol in BRACKET_TOLS:
+        r = largest_real_root(p, tol)
+        assert r == _sturm_bracket(p, tol)
+        assert r.lo < Fraction(26180339887, 10**10) < r.hi
+    assert count_roots_above(p, Fraction(1)) == 1
+    assert count_roots_above(p, Fraction(-2)) == 3
+
+
+def test_pf_converges_on_a_long_two_cycle_ring():
+    d = build_shape_22(15, 16, 1, 14)  # m = 31
+    r = pf_eigenvalue(d, Fraction(1, 10**6))
+    assert r.width <= Fraction(1, 10**6)
+    lam = largest_real_root(char_poly_ct(d), Fraction(1, 10**9))
+    assert r.lo <= lam.hi and lam.lo <= r.hi
