@@ -135,13 +135,9 @@ class SearchReport:
 
 def _compositions(total: int, parts: int):
     """Ordered tuples of `parts` positive integers summing to `total`."""
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    if total >= parts:
+        for w in _weak_compositions(total - parts, parts):
+            yield tuple(x + 1 for x in w)
 
 
 def _weak_compositions(total: int, parts: int):
@@ -189,12 +185,18 @@ def _arc(m: int, u: int, v: int) -> frozenset:
     return frozenset((u + t) % m for t in range(((v - u) % m) + 1))
 
 
+def sweep_ring(n: int, m: int):
+    """All ring placements: compositions of m into n lengths times exit
+    offsets.  Every swept digraph is built here."""
+    for lengths in _compositions(m, n):
+        for exits in itertools.product(*(range(l) for l in lengths)):
+            yield lengths, exits, build_shape_nc(ring_shape(lengths, exits))
+
+
 def sweep_shape_11(m: int):
-    """All (1,1) placements up to rotation: one chord into vertex 0."""
-    base = cycle_digraph(m)
-    for s in range(m):
-        a1 = s + 1  # chord cycle visits 0..s
-        yield a1, base.with_edge(s, 0)
+    """All (1,1) placements up to rotation: the one-cycle rings, chord s -> 0."""
+    for _, (s,), dg in sweep_ring(1, m):
+        yield s + 1, dg  # chord cycle visits 0..s
 
 
 def sweep_shape_12(m: int):
@@ -204,9 +206,8 @@ def sweep_shape_12(m: int):
     cycles intersect, chords do not interact), or 'crossing' (a cycle through
     both chords exists).
     """
-    base = cycle_digraph(m)
-    for s1 in range(m):
-        d1 = base.with_edge(s1, 0)
+    for a1, d1 in sweep_shape_11(m):
+        s1 = a1 - 1
         a_1 = _arc(m, 0, s1)
         for s2 in range(m):
             for t2 in range(m):
@@ -221,19 +222,9 @@ def sweep_shape_12(m: int):
 
 
 def sweep_shape_22(m: int):
-    """All (2,2) placements: cycle lengths (a1, a2), through split (p, q)."""
-    for a1 in range(1, m):
-        a2 = m - a1
-        for p in range(1, a1 + 1):
-            for q in range(1, a2 + 1):
-                yield a1, a2, p, q, build_shape_22(a1, a2, p, q)
-
-
-def sweep_ring(n: int, m: int):
-    """All ring placements: compositions of m into n lengths times exit offsets."""
-    for lengths in _compositions(m, n):
-        for exits in itertools.product(*(range(l) for l in lengths)):
-            yield lengths, exits, build_shape_nc(ring_shape(lengths, exits))
+    """All (2,2) placements, the two-cycle rings: lengths (a1, a2), through split (p, q)."""
+    for (a1, a2), (e1, e2), dg in sweep_ring(2, m):
+        yield a1, a2, e1 + 1, e2 + 1, dg
 
 
 # ---------------------------------------------------------------------------
@@ -280,34 +271,27 @@ def verify_case_c_le_2(m_max: int) -> SearchReport:
     # palindromic classes: coeffs -> {count, representative, primitive seen, (d, a)}
     palindromic: dict[tuple, dict] = {}
 
-    expected_12 = {"disjoint": -1, "plain": -2, "crossing": -3}
+    # the (1,1) and (1,2) chord placements, keyed by their expected p(1)
+    expected_p1 = {"(1,1)": -1, "(1,2) disjoint": -1, "(1,2) plain": -2, "(1,2) crossing": -3}
     cores: dict = {}  # the sweep's core unions, walked once per labelled core
 
     for m in range(1, m_max + 1):
-        for a1, dg in sweep_shape_11(m):
+        chords = itertools.chain(
+            (("(1,1)", dg) for _, dg in sweep_shape_11(m)),
+            ((f"(1,2) {case}", dg) for case, dg in sweep_shape_12(m)),
+        )
+        for key, dg in chords:
             total += 1
             p = _census_checks(dg, cores)
             p1 = eval_at_one(p)
             p1_distribution[p1] = p1_distribution.get(p1, 0) + 1
-            if p1 != -1:
-                raise CounterexampleError(f"(1,1) shape m={m}, a1={a1} has p(1) = {p1} != -1")
-            if classify_palindrome(p) is not PalindromeClass.NEITHER:
-                raise CounterexampleError(f"(1,1) shape m={m}, a1={a1} misclassified")
-            eliminated["neither_class"] += 1
-
-        for case, dg in sweep_shape_12(m):
-            total += 1
-            p = _census_checks(dg, cores)
-            p1 = eval_at_one(p)
-            p1_distribution[p1] = p1_distribution.get(p1, 0) + 1
-            if p1 != expected_12[case]:
+            if p1 != expected_p1[key]:
                 raise CounterexampleError(
-                    f"(1,2) {case} placement on m={m} has p(1) = {p1}, "
-                    f"expected {expected_12[case]}"
+                    f"{key} placement on m={m} has p(1) = {p1}, expected {expected_p1[key]}"
                 )
             if classify_palindrome(p) is not PalindromeClass.NEITHER:
-                raise CounterexampleError(f"(1,2) shape on m={m} misclassified")
-            if case == "crossing":
+                raise CounterexampleError(f"{key} placement on m={m} misclassified")
+            if key == "(1,2) crossing":
                 crossing_count += 1
             eliminated["neither_class"] += 1
 
@@ -418,25 +402,16 @@ def verify_case_odd_diagonal(k: int, m_max: int) -> SearchReport:
     p1_distribution: dict[int, int] = {}
     cores: dict = {}  # the sweep's core unions, walked once per labelled core
 
-    def handle(dg):
-        nonlocal total
-        total += 1
-        p = _census_checks(dg, cores)
-        p1 = eval_at_one(p)
-        p1_distribution[p1] = p1_distribution.get(p1, 0) + 1
-        if p1 == 0:
-            raise CounterexampleError(f"odd ring with p(1) = 0 on m={dg.m}")
-        if classify_palindrome(p) is not PalindromeClass.NEITHER:
-            raise CounterexampleError(f"odd ring with (anti)palindromic polynomial on m={dg.m}")
-
-    if k == 0:
-        for m in range(1, m_max + 1):
-            for _, dg in sweep_shape_11(m):
-                handle(dg)
-    else:
-        for m in range(n, m_max + 1):
-            for _, _, dg in sweep_ring(n, m):
-                handle(dg)
+    for m in range(n, m_max + 1):
+        for _, _, dg in sweep_ring(n, m):
+            total += 1
+            p = _census_checks(dg, cores)
+            p1 = eval_at_one(p)
+            p1_distribution[p1] = p1_distribution.get(p1, 0) + 1
+            if p1 == 0:
+                raise CounterexampleError(f"odd ring with p(1) = 0 on m={m}")
+            if classify_palindrome(p) is not PalindromeClass.NEITHER:
+                raise CounterexampleError(f"odd ring with (anti)palindromic polynomial on m={m}")
 
     report = SearchReport(
         parameters={"op": "verify_odd_diagonal", "k": k, "n": n, "c": n, "m_max": m_max},
@@ -641,10 +616,14 @@ def _ring_placements(m: int, c: int, n: int, cap: int):
             yield base, None
             continue
         for prefix in itertools.combinations_with_replacement(range(placements), extra_edges - 1):
-            dg = base
+            if not prefix:
+                yield base, range(placements)
+                continue
+            grid = [list(row) for row in base.rows]
             for s in prefix:
-                dg = dg.with_edge(*divmod(s, m))
-            yield dg, range(prefix[-1] if prefix else 0, placements)
+                i, j = divmod(s, m)
+                grid[i][j] += 1
+            yield MultiDigraph._from_grid(grid), range(prefix[-1], placements)
 
 
 def _enumerate_shape_classes(m: int, c: int, n: int, cap: int) -> list[MultiDigraph]:

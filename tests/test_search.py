@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 from collections import Counter
@@ -13,10 +14,11 @@ from perron.digraph import (
     _smooth,
     canonical_form,
     complexity,
+    cycle_digraph,
     is_strongly_connected,
 )
 from perron.errors import ParameterRangeError, ResourceLimitError
-from perron.families import hironaka_bound, lt_polynomial
+from perron.families import build_shape_22, hironaka_bound, lt_polynomial
 from perron.fixtures import figure4
 from perron.polynomial import IntPolynomial, format_polynomial, parse_polynomial
 from perron.search import (
@@ -32,6 +34,7 @@ from perron.search import (
     sweep_shape_22,
     verify_case_c_le_2,
     verify_case_odd_diagonal,
+    _compositions,
     _decide_candidate,
 )
 
@@ -302,3 +305,103 @@ def test_decide_reads_no_trace_for_candidates_the_bound_sign_eliminates():
     below = lt_polynomial(15, 14)
     assert _decide_candidate(task(below))[0] == "survivor"
     assert vars(below)["_trace"] is not None
+
+
+def test_count_realizations_builds_one_prefix_grid_per_ring(monkeypatch):
+    """A ring's prefix of extra edges goes into one grid copy, not one copy
+    per edge: a loop with 99,999 extra edges needs no ``with_edge`` call."""
+    calls = 0
+    with_edge = MultiDigraph.with_edge
+
+    def counting(self, *args):
+        nonlocal calls
+        calls += 1
+        return with_edge(self, *args)
+
+    monkeypatch.setattr(MultiDigraph, "with_edge", counting)
+    assert count_realizations(parse_polynomial("x-1"), 1, 100_000) == 0
+    assert calls == 0
+
+
+def test_shape_sweeps_match_their_direct_constructions():
+    """The (1,1), (1,2) and (2,2) views over the ring builder yield the
+    placements of the direct constructions, in the same order."""
+
+    def arc(m, u, v):
+        return frozenset((u + t) % m for t in range((v - u) % m + 1))
+
+    def rows(placements):
+        return [(*head, d.rows) for *head, d in placements]
+
+    for m in range(1, 10):
+        base = cycle_digraph(m)
+        shape_11 = [(s + 1, base.with_edge(s, 0)) for s in range(m)]
+        shape_12 = []
+        for s1 in range(m):
+            for s2 in range(m):
+                for t2 in range(m):
+                    if not arc(m, 0, s1) & arc(m, t2, s2):
+                        case = "disjoint"
+                    elif not arc(m, 0, s2) & arc(m, t2, s1):
+                        case = "crossing"
+                    else:
+                        case = "plain"
+                    shape_12.append((case, base.with_edge(s1, 0).with_edge(s2, t2)))
+        shape_22 = [
+            (a1, m - a1, p, q, build_shape_22(a1, m - a1, p, q))
+            for a1 in range(1, m)
+            for p in range(1, a1 + 1)
+            for q in range(1, m - a1 + 1)
+        ]
+        assert rows(sweep_shape_11(m)) == rows(shape_11)
+        assert rows(sweep_shape_12(m)) == rows(shape_12)
+        assert rows(sweep_shape_22(m)) == rows(shape_22)
+
+
+def test_compositions_match_their_recursive_definition():
+    def direct(total, parts):
+        if parts == 1:
+            return [(total,)] if total >= 1 else []
+        return [
+            (first,) + rest
+            for first in range(1, total)
+            for rest in direct(total - first, parts - 1)
+        ]
+
+    for total in range(-2, 16):
+        for parts in range(1, 8):
+            assert list(_compositions(total, parts)) == direct(total, parts), (total, parts)
+
+
+# SHA-256 of the stdout of ``perron verify <case> --format text|json``
+VERIFY_REPORT_DIGESTS = {
+    ("c2", 12): (
+        "4d85b3657b2e2f0efd77cbc2cd8de98f33629fd8e1e2e80fd77bf1155aed261e",
+        "1f17725320cb63a896b8e59978c1f42ba0c565f8bc021dbe9d846dd388f21865",
+    ),
+    ("odd", 0, 14): (
+        "a5048568e055d415fb6da012a6f8abff8d4fc9f536f7c05ccc60284633cdfca0",
+        "b87be3ab9a990ef09d4cc0946e1a053fff8a5cffed6e216401f9587d8d5f682d",
+    ),
+    ("odd", 1, 12): (
+        "3fa6b43d82f788ab1650b33c73d15e0f76efffaf3190abd62105f8cae64211d2",
+        "741a3810d3a2829e72eee4fcf9149a77a6857314196555d50486b4282a5b9188",
+    ),
+    ("odd", 2, 11): (
+        "bf0d1cc8be3d1d2f72032d565a68c35a9bffc02240c1f7095f1b6e8884f998ef",
+        "70c9e633c8e70056da5bad62f8e0f7e8eca81d2fb666f35f22c50ae92ff5f152",
+    ),
+}
+
+
+def test_verify_reports_are_pinned():
+    """Each report is built once and rendered as the CLI prints it."""
+    for case, (text_digest, json_digest) in VERIFY_REPORT_DIGESTS.items():
+        if case[0] == "c2":
+            report = verify_case_c_le_2(case[1])
+        else:
+            report = verify_case_odd_diagonal(*case[1:])
+        text = report.render_text() + "\n"
+        obj = json.dumps(report.to_json_obj(), indent=2, sort_keys=True) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == text_digest, case
+        assert hashlib.sha256(obj.encode()).hexdigest() == json_digest, case
