@@ -190,12 +190,17 @@ def _edge_placement_coeffs(rows, b):
     ]
 
 
+def _check_ct_size(m: int, max_m: int = CT_MAX_VERTICES):
+    """Refuse a digraph on more vertices than char_poly_ct takes."""
+    if m > max_m:
+        raise ParameterRangeError(f"char_poly_ct supports at most {max_m} vertices, got {m}")
+
+
 def char_poly_ct(
     d: MultiDigraph, cap: int = SUBDIGRAPH_CAP_DEFAULT, max_m: int = CT_MAX_VERTICES
 ) -> IntPolynomial:
     """Characteristic polynomial via the signed linear-subdigraph census."""
-    if d.m > max_m:
-        raise ParameterRangeError(f"char_poly_ct supports at most {max_m} vertices, got {d.m}")
+    _check_ct_size(d.m, max_m)
     return IntPolynomial(tuple(_linear_subdigraph_census(*_grid_arcs(d.rows), cap)[0]))
 
 

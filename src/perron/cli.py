@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import fixtures
-from .charpoly import char_poly_ct, char_poly_oracle
+from .charpoly import _check_ct_size, char_poly_ct, char_poly_oracle
 from .digraph import complexity
 from .errors import CounterexampleError, PerronError
 from .families import build_shape_22, c4_polynomial, hironaka_bound, lt_polynomial
@@ -149,6 +149,8 @@ def _cmd_root(args, out):
 
 
 def _cmd_shape22(args, out):
+    if args.a1 >= 1 and args.a2 >= 1:  # every output needs char_poly_ct: refuse before building
+        _check_ct_size(args.a1 + args.a2)
     d = build_shape_22(args.a1, args.a2, args.p, args.q)
     if args.emit == "poly":
         print(format_polynomial(char_poly_ct(d)), file=out)

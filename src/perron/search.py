@@ -18,11 +18,9 @@ from .charpoly import (
     char_poly_ct,
     _core_census,
     _edge_placement_coeffs,
-    _linear_subdigraph_census,
 )
 from .digraph import (
     MultiDigraph,
-    _grid_arcs,
     canonical_form,
     complexity,
     cycle_digraph,
@@ -247,6 +245,23 @@ def _census_checks(d: MultiDigraph, cores: dict) -> IntPolynomial:
     return p
 
 
+def _check_placement(key: str, m: int, dg: MultiDigraph, cores: dict, p1_counts: dict, p1=-1):
+    """Check one placement whose polynomial is neither palindromic nor
+    antipalindromic: the census checks, then p(1) (tallied in ``p1_counts``)
+    must be ``p1`` and the class must be neither."""
+    p = _census_checks(dg, cores)
+    value = eval_at_one(p)
+    p1_counts[value] = p1_counts.get(value, 0) + 1
+    if value != p1:
+        raise CounterexampleError(f"{key} placement on m={m} has p(1) = {value}, expected {p1}")
+    if classify_palindrome(p) is not PalindromeClass.NEITHER:
+        raise CounterexampleError(f"{key} placement on m={m} misclassified")
+
+
+def _p1_note(label: str, p1_counts: dict) -> str:
+    return f"{label}: " + ", ".join(f"{v}: {p1_counts[v]}" for v in sorted(p1_counts))
+
+
 def verify_case_c_le_2(m_max: int) -> SearchReport:
     """Sweep the (1,1), (1,2) and (2,2) shapes for all m <= m_max.
 
@@ -266,9 +281,8 @@ def verify_case_c_le_2(m_max: int) -> SearchReport:
         "antipalindromic_p1_nonzero": 0,
         "b1_positive": 0,
     }
-    crossing_count = 0
     p1_distribution: dict[int, int] = {}
-    # palindromic classes: coeffs -> {count, representative, primitive seen, (d, a)}
+    # palindromic classes: coeffs -> {count, representative, primitive seen}
     palindromic: dict[tuple, dict] = {}
 
     # the (1,1) and (1,2) chord placements, keyed by their expected p(1)
@@ -282,51 +296,34 @@ def verify_case_c_le_2(m_max: int) -> SearchReport:
         )
         for key, dg in chords:
             total += 1
-            p = _census_checks(dg, cores)
-            p1 = eval_at_one(p)
-            p1_distribution[p1] = p1_distribution.get(p1, 0) + 1
-            if p1 != expected_p1[key]:
-                raise CounterexampleError(
-                    f"{key} placement on m={m} has p(1) = {p1}, expected {expected_p1[key]}"
-                )
-            if classify_palindrome(p) is not PalindromeClass.NEITHER:
-                raise CounterexampleError(f"{key} placement on m={m} misclassified")
-            if key == "(1,2) crossing":
-                crossing_count += 1
+            _check_placement(key, m, dg, cores, p1_distribution, expected_p1[key])
             eliminated["neither_class"] += 1
 
         for a1, a2, pp, qq, dg in sweep_shape_22(m):
             total += 1
+            shape = f"({a1},{a2},{pp},{qq})"
             p = _census_checks(dg, cores)
-            a3 = pp + qq
-            if p != two_cycle_polynomial(a1, a2, a3):
-                raise CounterexampleError(
-                    f"(2,2) shape ({a1},{a2},{pp},{qq}) violates the two-cycle formula"
-                )
+            if p != two_cycle_polynomial(a1, a2, pp + qq):
+                raise CounterexampleError(f"(2,2) shape {shape} violates the two-cycle formula")
             cls = classify_palindrome(p)
             if cls is PalindromeClass.ANTIPALINDROMIC:
-                raise CounterexampleError(f"antipalindromic (2,2) shape ({a1},{a2},{pp},{qq})")
-            should_be_pal = m % 2 == 0 and a3 == m // 2
-            if (cls is PalindromeClass.PALINDROMIC) != should_be_pal:
+                raise CounterexampleError(f"antipalindromic (2,2) shape {shape}")
+            if (cls is PalindromeClass.PALINDROMIC) != (2 * (pp + qq) == m):
                 raise CounterexampleError(
-                    f"(2,2) shape ({a1},{a2},{pp},{qq}): palindromic iff m = 2d and a3 = d fails"
+                    f"(2,2) shape {shape}: palindromic iff m = 2d and a3 = d fails"
                 )
-            if cls is PalindromeClass.PALINDROMIC:
-                d_half = m // 2
-                a = min(a1, a2)
-                if p != two_cycle_polynomial(a, m - a, d_half):
-                    raise CounterexampleError(
-                        f"palindromic (2,2) shape ({a1},{a2},{pp},{qq}) outside the LT expressions"
-                    )
-                rec = palindromic.setdefault(
-                    p.coeffs,
-                    {"count": 0, "rep": dg, "primitive": False, "d": d_half, "a": a},
-                )
-                rec["count"] += 1
-                if not rec["primitive"] and is_primitive(dg):
-                    rec["primitive"] = True
-            else:
+            if cls is not PalindromeClass.PALINDROMIC:
                 eliminated["neither_class"] += 1
+                continue
+            a = min(a1, a2)
+            if p != two_cycle_polynomial(a, m - a, m // 2):
+                raise CounterexampleError(
+                    f"palindromic (2,2) shape {shape} outside the LT expressions"
+                )
+            rec = palindromic.setdefault(p.coeffs, {"count": 0, "rep": dg, "primitive": False})
+            rec["count"] += 1
+            if not rec["primitive"] and is_primitive(dg):
+                rec["primitive"] = True
 
     # completeness: every LT expression with 2d <= m_max, and only those, survived
     expected = {}
@@ -335,44 +332,38 @@ def verify_case_c_le_2(m_max: int) -> SearchReport:
             expected[two_cycle_polynomial(a, 2 * d_half - a, d_half).coeffs] = (d_half, a)
     if set(palindromic) != set(expected):
         raise CounterexampleError("(2,2) palindromic survivor set mismatch")
-    for coeffs, rec in palindromic.items():
-        d_half, a = expected[coeffs]
-        boundary = a == d_half
-        if boundary and rec["primitive"]:
-            raise CounterexampleError(
-                f"boundary polynomial d={d_half} unexpectedly has a primitive realization"
-            )
 
     survivors = []
     for coeffs in sorted(palindromic, key=lambda cs: (len(cs), cs)):
         rec = palindromic[coeffs]
+        d_half, a = expected[coeffs]
+        if a == d_half and rec["primitive"]:
+            raise CounterexampleError(
+                f"boundary polynomial d={d_half} unexpectedly has a primitive realization"
+            )
         survivors.append(
             SurvivorEntry(
                 IntPolynomial(coeffs),
                 rec["rep"],
                 {
                     "shape": "(2,2)",
-                    "d": rec["d"],
-                    "a": rec["a"],
+                    "d": d_half,
+                    "a": a,
                     "instances": rec["count"],
                     "primitive_realization": rec["primitive"],
-                    "lt_member": rec["a"] < rec["d"],
+                    "lt_member": a < d_half,
                 },
             )
         )
 
-    notes = [
-        "p(1) distribution over all swept digraphs: "
-        + ", ".join(f"{v}: {p1_distribution[v]}" for v in sorted(p1_distribution)),
-    ]
-    if crossing_count:
+    notes = [_p1_note("p(1) distribution over all swept digraphs", p1_distribution)]
+    if -3 in p1_distribution:  # only the crossing placements may have p(1) = -3
         notes.append(
             f"(1,2) placements with interacting chords (a cycle through both chords): "
-            f"{crossing_count} instances, all with p(1) = -3; these fall outside the "
+            f"{p1_distribution[-3]} instances, all with p(1) = -3; these fall outside the "
             f"two-case split, which covers the non-interacting placements"
         )
-    boundary_polys = [rec for rec in palindromic.values() if rec["a"] == rec["d"]]
-    if boundary_polys:
+    if any(a == d_half for d_half, a in expected.values()):
         notes.append(
             "palindromic boundary family x^{2d} - 3x^d + 1 (cycle lengths a1 = a2 = "
             "through = d) arises only from imprimitive digraphs; the LT family proper "
@@ -392,7 +383,12 @@ def verify_case_c_le_2(m_max: int) -> SearchReport:
 
 def verify_case_odd_diagonal(k: int, m_max: int) -> SearchReport:
     """Sweep the (2k+1, 2k+1) ring shapes: no palindromic or antipalindromic
-    characteristic polynomial occurs, and p(1) = -1 throughout."""
+    characteristic polynomial occurs, and p(1) = -1 throughout.
+
+    Every ring of n cycles has p(x) = prod(x^l_k - 1) - x^(m - t), t the
+    through-cycle's length: a cycle that uses a ring arc uses all n of them,
+    so the through-cycle is the only cycle besides the ring's own.
+    """
     if k < 0 or 2 * k + 1 > 5:
         raise ParameterRangeError("verify_case_odd_diagonal needs k >= 0 with 2k+1 <= 5")
     if not 1 <= m_max <= FULL_ENUMERATION_MAX_M:
@@ -405,23 +401,14 @@ def verify_case_odd_diagonal(k: int, m_max: int) -> SearchReport:
     for m in range(n, m_max + 1):
         for _, _, dg in sweep_ring(n, m):
             total += 1
-            p = _census_checks(dg, cores)
-            p1 = eval_at_one(p)
-            p1_distribution[p1] = p1_distribution.get(p1, 0) + 1
-            if p1 == 0:
-                raise CounterexampleError(f"odd ring with p(1) = 0 on m={m}")
-            if classify_palindrome(p) is not PalindromeClass.NEITHER:
-                raise CounterexampleError(f"odd ring with (anti)palindromic polynomial on m={m}")
+            _check_placement(f"({n},{n}) ring", m, dg, cores, p1_distribution)
 
     report = SearchReport(
         parameters={"op": "verify_odd_diagonal", "k": k, "n": n, "c": n, "m_max": m_max},
         total=total,
         eliminated={"neither_class": total},
         survivors=[],
-        notes=[
-            "p(1) distribution: "
-            + ", ".join(f"{v}: {p1_distribution[v]}" for v in sorted(p1_distribution))
-        ],
+        notes=[_p1_note("p(1) distribution", p1_distribution)],
     )
     _check_report_balance(report)
     return report
@@ -862,56 +849,29 @@ def reconstruct_figure4() -> MultiDigraph:
     and 7, and four further edges, for the stated characteristic polynomial
     and the stated 7-cycle.
 
-    The 7-cycle's arcs outside the base digraph must all be among the four
-    edges, so combinations without them are skipped first.  The coefficient
-    constraints prune exactly: b_1 = -2 forbids extra loops, b_2 = +1 forbids
-    2-cycles, b_3 = 0 forbids 3-cycles.  Candidates are scanned in
-    lexicographic order, so the result is deterministic.
+    The further edges are candidates that are neither loops nor reversed
+    9-cycle edges.  The 7-cycle's arcs outside the base digraph must be among
+    them, so only the rest are chosen, in lexicographic order from the other
+    candidates; the first digraph with the stated polynomial is returned, so
+    the result is deterministic.
     """
     m = 9
-    base = [[0] * m for _ in range(m)]
-    for i in range(m):
-        base[i][(i + 1) % m] += 1
-    base[2][2] += 1
-    base[6][6] += 1
-
+    base = cycle_digraph(m).with_edge(2, 2).with_edge(6, 6)
     base_arcs = {(i, (i + 1) % m) for i in range(m)}
-    candidates = [
+    cyc = FIGURE4_SEVEN_CYCLE
+    forced = sorted({(cyc[t], cyc[(t + 1) % 7]) for t in range(7)} - base_arcs)
+    free = [
         (i, j)
         for i in range(m)
         for j in range(m)
-        if i != j and (j, i) not in base_arcs  # reversing a cycle edge makes a 2-cycle
+        if i != j and (j, i) not in base_arcs and (i, j) not in forced
     ]
-    target = tuple(FIGURE4_POLYNOMIAL.coeffs)
-    cyc = FIGURE4_SEVEN_CYCLE
-    cycle_arcs = {(cyc[t], cyc[(t + 1) % 7]) for t in range(7)} - base_arcs
-
-    for combo in itertools.combinations(candidates, 4):
-        ok = True
-        arc_set = set(combo)
-        if not cycle_arcs <= arc_set:
-            continue
-        for (i, j) in combo:
-            if (j, i) in arc_set:
-                ok = False
-                break
-        if not ok:
-            continue
-        rows = [row[:] for row in base]
-        for i, j in combo:
-            rows[i][j] += 1
-        # no 3-cycles allowed (b_3 = 0): check triangles through the new arcs
-        for (i, j) in combo:
-            for k in range(m):
-                if k != i and k != j and rows[j][k] and rows[k][i]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        if tuple(_linear_subdigraph_census(*_grid_arcs(rows))[0]) == target:
-            return MultiDigraph.from_rows(rows)
+    for extra in itertools.combinations(free, 4 - len(forced)):
+        dg = base
+        for i, j in forced + list(extra):
+            dg = dg.with_edge(i, j)
+        if char_poly_ct(dg) == FIGURE4_POLYNOMIAL:
+            return dg
     raise FixtureNotFound(
         "no digraph with the stated polynomial and 7-cycle exists in the search space"
     )

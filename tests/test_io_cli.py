@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import perron.cli
 from perron.charpoly import ORACLE_MAX_VERTICES
 from perron.cli import run
 from perron.digraph import MultiDigraph
@@ -166,6 +167,16 @@ def test_cli_shape22_roundtrip():
     assert d == build_shape_22(6, 8, 1, 6)
     code, out, _ = invoke("shape22", "6", "8", "1", "6", "--emit", "poly")
     assert out == "x^14 - x^8 - x^7 - x^6 + 1\n"
+
+
+def test_cli_shape22_checks_its_size_before_building(monkeypatch):
+    def no_build(*args):
+        raise AssertionError("the shape was built before its size was checked")
+
+    monkeypatch.setattr(perron.cli, "build_shape_22", no_build)
+    code, out, err = invoke("shape22", "30000", "30000", "1", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: parameter-range: char_poly_ct supports at most 64 vertices, got 60000\n"
 
 
 def test_cli_bound():

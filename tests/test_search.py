@@ -17,7 +17,7 @@ from perron.digraph import (
     cycle_digraph,
     is_strongly_connected,
 )
-from perron.errors import ParameterRangeError, ResourceLimitError
+from perron.errors import CounterexampleError, ParameterRangeError, ResourceLimitError
 from perron.families import build_shape_22, hironaka_bound, lt_polynomial
 from perron.fixtures import figure4
 from perron.polynomial import IntPolynomial, format_polynomial, parse_polynomial
@@ -198,6 +198,44 @@ def test_verify_odd_diagonal():
     assert r2.survivors == []
     with pytest.raises(ParameterRangeError):
         verify_case_odd_diagonal(3, 8)
+
+
+def ring_polynomial(lengths, exits):
+    """prod(x^l_k - 1) - x^(m - t) with t = sum(e_k + 1), the through-cycle's
+    length, from descending coefficient lists."""
+    cs = [1]
+    for l in lengths:
+        factor = [1] + [0] * (l - 1) + [-1]
+        cs = [
+            sum(cs[i] * factor[k - i] for i in range(len(cs)) if 0 <= k - i <= l)
+            for k in range(len(cs) + l)
+        ]
+    cs[sum(e + 1 for e in exits)] -= 1  # the coefficient of x^(m - t)
+    return IntPolynomial(tuple(cs))
+
+
+def test_every_ring_placement_has_the_ring_polynomial():
+    """A cycle that uses a ring arc uses all n of them, so the through-cycle is
+    the only cycle besides the ring's own, and p(1) = -1 on every ring."""
+    placements = 0
+    for n in range(1, 6):
+        for m in range(n, 10):
+            for lengths, exits, dg in sweep_ring(n, m):
+                assert char_poly_ct(dg) == ring_polynomial(lengths, exits), (lengths, exits)
+                placements += 1
+    assert placements == 3587
+
+
+def test_odd_ring_sweep_requires_p1_minus_one_and_neither_class(monkeypatch):
+    for poly, message in (
+        ("x^2 - 3", r"^\(3,3\) ring placement on m=3 has p\(1\) = -2, expected -1$"),
+        ("x^2 - 3x + 1", r"^\(3,3\) ring placement on m=3 misclassified$"),
+    ):
+        monkeypatch.setattr(
+            perron.search, "_census_checks", lambda d, cores, p=parse_polynomial(poly): p
+        )
+        with pytest.raises(CounterexampleError, match=message):
+            verify_case_odd_diagonal(1, 6)
 
 
 def test_each_labelled_core_is_walked_once_per_sweep(monkeypatch):
