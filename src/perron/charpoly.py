@@ -11,12 +11,12 @@ from dataclasses import dataclass
 from math import prod
 from operator import add, mul
 
-from .digraph import Cycle, MultiDigraph, _grid_arcs, _path_cycle, _smooth, _weighted_cycles
+from .digraph import ORACLE_MAX_VERTICES, Cycle, MultiDigraph, _grid_arcs, _path_cycle
+from .digraph import _smooth, _weighted_cycles
 from .errors import ParameterRangeError, ResourceLimitError
 from .polynomial import IntPolynomial
 
 CT_MAX_VERTICES = 64
-ORACLE_MAX_VERTICES = 200
 SUBDIGRAPH_CAP_DEFAULT = 10_000_000
 
 
@@ -41,34 +41,39 @@ class LinearSubdigraph:
 
 
 def _linear_subdigraph_census(
-    V: int, arcs, weights, cap: int = SUBDIGRAPH_CAP_DEFAULT, size: int | None = -1
+    V: int, arcs, weights, cap: int = SUBDIGRAPH_CAP_DEFAULT, tree: bool = False
 ):
     """One walk over the linear subdigraphs of an arc list (see ``_weighted_cycles``).
 
-    Returns ``(b, kept)``.  ``b`` is the descending coefficient list indexed by
-    arc count: b_i sums (-1)^(number of cycles) times the weight product over
-    all disjoint cycle unions of i arcs, so for a grid's arcs (``_grid_arcs``)
-    it is the characteristic polynomial.  ``kept`` lists the unions of
-    ``size`` arcs (every union when ``size`` is None, none by default) as
-    ``(arc-id tuples of the cycles, weight)``.  Unions are built in increasing
-    order of their cycles' anchor (minimal) vertices, so each one is seen
-    exactly once.
+    Returns ``(b, cycles, levels)``.  ``b`` is the descending coefficient list
+    indexed by arc count: b_i sums (-1)^(number of cycles) times the weight
+    product over all disjoint cycle unions of i arcs, so for a grid's arcs
+    (``_grid_arcs``) it is the characteristic polynomial.  ``cycles[k]`` is
+    cycle k as ``_weighted_cycles`` lists it, ``(mask, anchor, arc ids,
+    weight)``.  Unions are built in increasing order of their cycles' anchor
+    (minimal) vertices, so each one is seen exactly once, as its parent union
+    plus one cycle.  With ``tree``, ``levels[n - 1]`` records the unions of n
+    cycles in walk order as two parallel lists: each union's parent (the union
+    of its first n - 1 cycles, by position in the level below; the empty union
+    is position 0 of level 0) and the index of its last cycle.  Without it,
+    ``levels`` is empty and nothing is stored per union.
     """
-    by_anchor: list[list[tuple[int, tuple[int, ...], int, int]]] = [[] for _ in range(V)]
-    for mask, anchor, path, weight in _weighted_cycles(V, arcs, weights, cap):
-        by_anchor[anchor].append((mask, path, len(path), weight))
+    by_anchor: list[list[tuple[int, int, int, int]]] = [[] for _ in range(V)]
+    cycles = _weighted_cycles(V, arcs, weights, cap)
+    for k, (mask, anchor, path, weight) in enumerate(cycles):
+        by_anchor[anchor].append((mask, len(path), weight, k))
 
     b = [0] * (V + 1)
     b[0] = 1
-    kept = []
+    levels: list[tuple[list[int], list[int]]] = []
     count = 0
 
-    def extend(next_anchor, mask, nvert, signed, chosen):
+    def extend(next_anchor, mask, nvert, signed, depth, position):
         nonlocal count
         for a in range(next_anchor, V):
             if (mask >> a) & 1:
                 continue
-            for cmask, path, clen, w in by_anchor[a]:
+            for cmask, clen, w, k in by_anchor[a]:
                 if cmask & mask:
                     continue
                 count += 1
@@ -79,38 +84,18 @@ def _linear_subdigraph_census(
                 v2 = nvert + clen
                 s2 = -signed * w  # each further cycle flips the sign
                 b[v2] += s2
-                c2 = chosen + (path,)
-                if size is None or v2 == size:
-                    kept.append((c2, abs(s2)))
-                extend(a + 1, mask | cmask, v2, s2, c2)
+                child = 0
+                if tree:
+                    if depth == len(levels):
+                        levels.append(([], []))
+                    parents, last = levels[depth]
+                    child = len(parents)
+                    parents.append(position)
+                    last.append(k)
+                extend(a + 1, mask | cmask, v2, s2, depth + 1, child)
 
-    extend(0, 0, 0, 1, ())
-    return b, kept
-
-
-def _core_unions(V: int, arcs):
-    """The cycle unions of a smoothed core, from one census walk, by cycle count.
-
-    Returns ``(cycles, levels)``: ``cycles`` lists each cycle's arc ids, and
-    ``levels[n - 1]`` holds the unions of n cycles as two parallel lists,
-    each union's parent (the union of its first n - 1 cycles, by position in
-    the level below; the empty union is position 0 of level 0) and the index
-    of its last cycle.
-    """
-    _, kept = _linear_subdigraph_census(V, arcs, [1] * len(arcs), size=None)
-    cycles: dict[tuple[int, ...], int] = {}
-    positions: list[dict] = [{(): 0}]
-    levels: list[tuple[list[int], list[int]]] = []
-    for union, _ in kept:  # a parent union is always listed before its children
-        n = len(union)
-        if n > len(levels):
-            levels.append(([], []))
-            positions.append({})
-        parents, last = levels[n - 1]
-        positions[n][union] = len(parents)
-        parents.append(positions[n - 1][union[:-1]])
-        last.append(cycles.setdefault(union[-1], len(cycles)))
-    return list(cycles), levels
+    extend(0, 0, 0, 1, 0, 0)
+    return b, cycles, levels
 
 
 def _core_census(rows, cores: dict):
@@ -119,21 +104,22 @@ def _core_census(rows, cores: dict):
     Returns ``(b, most)``: b_i sums (-1)^(cycles) times the weight product
     over the core's unions whose arc lengths total i, and ``most`` is the
     largest cycle count of a spanning union (total length m), None if there
-    is none.  ``cores`` maps each labelled core ``(V, arcs)`` to its
-    ``_core_unions``; a missing core is walked once and added, so a caller
-    that keeps one dict over a sweep walks each core once.
+    is none.  ``cores`` maps each labelled core ``(V, arcs)`` to the
+    ``(cycles, levels)`` union tree of one unit-weight census walk; a missing
+    core is walked once and added, so a caller that keeps one dict over a
+    sweep walks each core once.
     """
     m = len(rows)
     V, arcs, lengths, weights = _smooth(rows)
     key = (V, tuple(arcs))
-    unions = cores.get(key)
-    if unions is None:
-        unions = cores[key] = _core_unions(V, arcs)
-    paths, levels = unions
-    cycle_len = [sum(map(lengths.__getitem__, path)) for path in paths]
+    tree = cores.get(key)
+    if tree is None:
+        tree = cores[key] = _linear_subdigraph_census(V, arcs, [1] * len(arcs), tree=True)[1:]
+    cycles, levels = tree
+    cycle_len = [sum(map(lengths.__getitem__, path)) for _, _, path, _ in cycles]
     weighted = weights.count(1) != len(weights)  # most swept digraphs have no multiple edge
     if weighted:
-        cycle_w = [prod(map(weights.__getitem__, path)) for path in paths]
+        cycle_w = [prod(map(weights.__getitem__, path)) for _, _, path, _ in cycles]
         union_w = [1]
     b = [0] * (m + 1)
     b[0] = 1
@@ -210,14 +196,23 @@ def enumerate_linear_subdigraphs(
     """All linear subdigraphs, one entry per distinct set of cycles.
 
     With ``i`` given, only those covering exactly i vertices are returned.
+    They are listed by cycle count, then in the census walk's order; no
+    caller should depend on that order.
     """
     if d.m > CT_MAX_VERTICES:
         raise ParameterRangeError(f"supports at most {CT_MAX_VERTICES} vertices, got {d.m}")
     V, arcs, weights = _grid_arcs(d.rows)
-    _, kept = _linear_subdigraph_census(V, arcs, weights, cap, i)
-    return [
-        LinearSubdigraph(tuple(_path_cycle(arcs, path) for path in cycles), w) for cycles, w in kept
-    ]
+    _, walked, levels = _linear_subdigraph_census(V, arcs, weights, cap, tree=True)
+    cycles = [(_path_cycle(arcs, path), w) for _, _, path, w in walked]
+    found = []
+    unions = [LinearSubdigraph((), 1)]
+    for parents, last in levels:
+        unions = [
+            LinearSubdigraph(unions[p].cycles + (cycles[k][0],), unions[p].weight * cycles[k][1])
+            for p, k in zip(parents, last)
+        ]
+        found.extend(unions)
+    return found if i is None else [L for L in found if L.vertex_count == i]
 
 
 def char_poly_oracle(d: MultiDigraph) -> IntPolynomial:

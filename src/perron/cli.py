@@ -26,9 +26,7 @@ from .search import (
     verify_case_c_le_2,
     verify_case_odd_diagonal,
 )
-from .spectral import _ham_song, largest_real_root
-
-DEFAULT_ROOT_TOL = Fraction(1, 10**10)
+from .spectral import DEFAULT_TOL, _ham_song, largest_real_root
 
 
 class _Parser(argparse.ArgumentParser):
@@ -118,7 +116,7 @@ def _positive_int(text: str) -> int:
 
 
 def _tol(arg) -> Fraction:
-    return DEFAULT_ROOT_TOL if arg is None else to_fraction(arg)
+    return DEFAULT_TOL if arg is None else to_fraction(arg)
 
 
 def _cmd_charpoly(args, out):

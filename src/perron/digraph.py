@@ -15,6 +15,7 @@ from operator import index
 from .errors import ParameterRangeError, ResourceLimitError
 
 CYCLE_CAP_DEFAULT = 10_000_000
+ORACLE_MAX_VERTICES = 200
 CANONICAL_MAX_VERTICES = 20
 _CANONICAL_LEAF_CAP = 100_000
 
@@ -64,8 +65,6 @@ class MultiDigraph:
         m x m grid is allocated: no operation supports more vertices than the
         Berkowitz oracle.
         """
-        from .charpoly import ORACLE_MAX_VERTICES  # charpoly imports this module
-
         if m > ORACLE_MAX_VERTICES:
             raise ResourceLimitError(
                 f"a digraph may have at most {ORACLE_MAX_VERTICES} vertices, got {m}", estimate=m

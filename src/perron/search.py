@@ -524,23 +524,19 @@ def enumerate_digraphs(
     if c == 0:
         return [cycle_digraph(m)]
 
-    cores = [core for core in _cores(c, m)]
+    cores = _cores(c, m)  # each on at most m vertices
     estimate = 0
-    usable = []
     for core in cores:
-        if core.m > m:
-            continue
         E = core.edge_count
         estimate += comb(m - core.m + E - 1, E - 1)
-        usable.append(core)
     if estimate > cap:
         raise ResourceLimitError(
             f"subdivision space estimate {estimate} exceeds cap {cap}", estimate=estimate
         )
 
     reps: dict[bytes, MultiDigraph] = {}
-    for core in usable:
-        groups = [(i, j, k) for i, j, k in core.edges()]
+    for core in cores:
+        groups = list(core.edges())
         extra = m - core.m
 
         def assignments(gi, remaining):
@@ -570,7 +566,8 @@ def _ring_placements(m: int, c: int, n: int, cap: int):
     last edge takes each slot in ``slots`` (slot s is the edge s // m -> s % m),
     which walks the ``combinations_with_replacement`` order of all extra
     edges.  With no extra edge, ``slots`` is None and ``dg`` is the placement
-    itself.
+    itself.  Every placement is strongly connected: the ring's cycles and its
+    edge from each cycle to the next already are, and extra edges keep it so.
     """
     if n < 1 or c < n:
         raise ParameterRangeError("shape-restricted enumeration needs 1 <= n <= c")
@@ -620,8 +617,7 @@ def _enumerate_shape_classes(m: int, c: int, n: int, cap: int) -> list[MultiDigr
     for dg, slots in _ring_placements(m, c, n, cap):
         candidates = [dg] if slots is None else (dg.with_edge(*divmod(s, m)) for s in slots)
         for pl in candidates:
-            if is_strongly_connected(pl):
-                reps.setdefault(canonical_form(pl), pl)
+            reps.setdefault(canonical_form(pl), pl)
     return [reps[k] for k in sorted(reps)]
 
 
@@ -642,17 +638,14 @@ def count_realizations(p: IntPolynomial, n: int, c: int, cap: int = ENUMERATION_
     for dg, slots in _ring_placements(m, c, n, cap):
         q = char_poly_ct(dg)
         if slots is None:
-            matches = [dg] if q == p else []
-        else:
-            polys = _edge_placement_coeffs(dg.rows, q.coeffs)
-            matches = []
-            for s in slots:
-                i, j = divmod(s, m)
-                if polys[i][j] == p.coeffs:
-                    matches.append(dg.with_edge(i, j))
-        for pl in matches:
-            if is_strongly_connected(pl):
-                forms.add(canonical_form(pl))
+            if q == p:
+                forms.add(canonical_form(dg))
+            continue
+        polys = _edge_placement_coeffs(dg.rows, q.coeffs)
+        for s in slots:
+            i, j = divmod(s, m)
+            if polys[i][j] == p.coeffs:
+                forms.add(canonical_form(dg.with_edge(i, j)))
     return len(forms)
 
 
@@ -724,7 +717,7 @@ def genus_candidates(
     # get their representative built
     candidates = []
     if c_max >= 2:
-        for m in range(window_lo + window_lo % 2, window_hi + 1, 2):
+        for m in range(window_lo, window_hi + 1, 2):
             d = m // 2
             for a in range(1, d):
                 info = {"family": "lt", "d": d, "a": a, "m": m}
@@ -732,7 +725,7 @@ def genus_candidates(
                     (lt_polynomial(d, a), info, build_shape_22, (a, 2 * d - a, 1, d - 1))
                 )
     if c_max >= 4:
-        for m in range(window_lo + window_lo % 2, window_hi + 1, 2):
+        for m in range(window_lo, window_hi + 1, 2):
             d = m // 2
             for parts in _partitions_exact(2 * d, 4, 2):
                 info = {"family": "c4", "d": d, "a": list(parts), "m": m}
@@ -845,30 +838,22 @@ FIGURE4_SEVEN_CYCLE = (0, 1, 2, 8, 5, 6, 3)  # vertices 1,2,3,9,6,7,4 in cycle o
 
 
 def reconstruct_figure4() -> MultiDigraph:
-    """Search all digraphs made of the standard 9-cycle, loops at vertices 3
-    and 7, and four further edges, for the stated characteristic polynomial
-    and the stated 7-cycle.
+    """The digraph made of the standard 9-cycle, loops at vertices 3 and 7,
+    and four further edges, with the stated characteristic polynomial and the
+    stated 7-cycle.
 
-    The further edges are candidates that are neither loops nor reversed
-    9-cycle edges.  The 7-cycle's arcs outside the base digraph must be among
-    them, so only the rest are chosen, in lexicographic order from the other
-    candidates; the first digraph with the stated polynomial is returned, so
-    the result is deterministic.
+    The further edges must be neither loops nor reversed 9-cycle edges.  The
+    7-cycle's arcs outside the base digraph must be among them, and there are
+    exactly four, so they are the further edges: the one digraph they give is
+    checked for the stated polynomial.
     """
     m = 9
-    base = cycle_digraph(m).with_edge(2, 2).with_edge(6, 6)
     base_arcs = {(i, (i + 1) % m) for i in range(m)}
     cyc = FIGURE4_SEVEN_CYCLE
     forced = sorted({(cyc[t], cyc[(t + 1) % 7]) for t in range(7)} - base_arcs)
-    free = [
-        (i, j)
-        for i in range(m)
-        for j in range(m)
-        if i != j and (j, i) not in base_arcs and (i, j) not in forced
-    ]
-    for extra in itertools.combinations(free, 4 - len(forced)):
-        dg = base
-        for i, j in forced + list(extra):
+    if len(forced) == 4 and all(i != j and (j, i) not in base_arcs for i, j in forced):
+        dg = cycle_digraph(m).with_edge(2, 2).with_edge(6, 6)
+        for i, j in forced:
             dg = dg.with_edge(i, j)
         if char_poly_ct(dg) == FIGURE4_POLYNOMIAL:
             return dg

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -124,6 +125,44 @@ def test_census_by_size_matches_both_routes(rng):
             # the empty union, which is not listed, gives b_0 = 1
             signed = (i == 0) + sum((-1) ** L.cycle_count * L.weight for L in sized)
             assert signed == ct.b(i) == oracle.b(i)
+
+
+def test_linear_subdigraphs_match_networkx_cycle_unions():
+    """Every union of pairwise vertex-disjoint networkx cycles, weighted by the
+    product of its edge multiplicities, is listed once, and nothing else is."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(16180)
+    for _ in range(60):
+        m = rng.randint(1, 6)
+        density = rng.uniform(0.8, 2.5) / m
+        grid = [[rng.randint(1, 2) if rng.random() < density else 0 for _ in range(m)] for _ in range(m)]
+        d = MultiDigraph.from_rows(grid)
+        g = nx.DiGraph((i, j) for i in range(m) for j in range(m) if grid[i][j])
+        cycles = []
+        for cyc in nx.simple_cycles(g):
+            start = cyc.index(min(cyc))
+            vertices = tuple(cyc[start:] + cyc[:start])
+            weight = 1
+            for u, v in zip(vertices, vertices[1:] + vertices[:1]):
+                weight *= grid[u][v]
+            cycles.append((vertices, weight))
+
+        expected = Counter()
+
+        def unions(first, used, chosen, weight):
+            for k in range(first, len(cycles)):
+                vertices, w = cycles[k]
+                if used.isdisjoint(vertices):
+                    union = chosen | {vertices}
+                    expected[union, weight * w] += 1
+                    unions(k + 1, used | set(vertices), union, weight * w)
+
+        unions(0, frozenset(), frozenset(), 1)
+        listed = Counter(
+            (frozenset(c.vertices for c in L.cycles), L.weight)
+            for L in enumerate_linear_subdigraphs(d)
+        )
+        assert listed == expected
 
 
 def test_edge_placement_update_matches_both_routes(rng):

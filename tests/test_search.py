@@ -95,6 +95,21 @@ def test_enumerate_representatives_are_valid():
             assert is_strongly_connected(d)
 
 
+def test_shape_restricted_representatives_are_valid():
+    """Every ring placement class has m vertices, complexity c, and is
+    strongly connected, for rings of up to three cycles."""
+    classes = 0
+    for n in (1, 2, 3):
+        for c in range(n, n + 3):
+            for m in range(1, 6):
+                for d in enumerate_digraphs(m, c, n_cycles=n):
+                    classes += 1
+                    assert d.m == m
+                    assert complexity(d) == c
+                    assert is_strongly_connected(d)
+    assert classes == 6436
+
+
 def test_enumerate_determinism():
     a = [d.rows for d in enumerate_digraphs(4, 2)]
     b = [d.rows for d in enumerate_digraphs(4, 2)]
