@@ -160,23 +160,19 @@ def _cmd_shape22(args, out):
         out.write(format_digraph(d, header=header))
 
 
+def _print_report(report, fmt, out):
+    if fmt == "json":
+        print(json.dumps(report.to_json_obj(), indent=2, sort_keys=True), file=out)
+    else:
+        print(report.render_text(), file=out)
+
+
 def _cmd_verify(args, out):
     if args.case == "c2":
         report = verify_case_c_le_2(args.max_m)
     else:
         report = verify_case_odd_diagonal(args.k, args.max_m)
-    if args.format == "json":
-        print(json.dumps(report.to_json_obj(), indent=2, sort_keys=True), file=out)
-    else:
-        print(report.render_text(), file=out)
-
-
-def _cmd_search(args, out):
-    report = genus_candidates(args.genus, args.max_c, m_max=args.max_m, jobs=args.jobs)
-    if args.format == "json":
-        print(json.dumps(report.to_json_obj(), indent=2, sort_keys=True), file=out)
-    else:
-        print(report.render_text(), file=out)
+    _print_report(report, args.format, out)
 
 
 def _cmd_hamsong(args, out):
@@ -221,7 +217,8 @@ def run(argv, out=None, err=None) -> int:
             poly = parse_polynomial(args.polynomial)
             print(count_realizations(poly, args.n, args.c), file=out)
         elif args.command == "search":
-            _cmd_search(args, out)
+            report = genus_candidates(args.genus, args.max_c, m_max=args.max_m, jobs=args.jobs)
+            _print_report(report, args.format, out)
         elif args.command == "fixture":
             out.write(fixtures.fixture_text(args.name))
         elif args.command == "hamsong":

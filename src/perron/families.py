@@ -38,14 +38,6 @@ class Shape:
                 raise ParameterRangeError("attachment cycle index out of range")
 
     @property
-    def n(self) -> int:
-        return len(self.cycle_lengths)
-
-    @property
-    def c(self) -> int:
-        return len(self.attachments)
-
-    @property
     def m(self) -> int:
         return sum(self.cycle_lengths)
 

@@ -34,8 +34,8 @@ from .errors import (
     ResourceLimitError,
 )
 from .families import (
+    Shape,
     build_shape_nc,
-    build_shape_22,
     c4_polynomial,
     hironaka_bound,
     lt_polynomial,
@@ -71,16 +71,22 @@ FULL_ENUMERATION_MAX_M = 14
 
 @dataclass
 class SurvivorEntry:
+    """A surviving polynomial, the ring shape of a digraph realizing it, and its report fields."""
+
     polynomial: IntPolynomial
-    representative: MultiDigraph | None
+    shape: Shape
     info: dict
 
+    @property
+    def representative(self) -> MultiDigraph:
+        """The realizing digraph, built from the shape on each read."""
+        return build_shape_nc(self.shape)
+
     def to_json_obj(self):
-        rep = self.representative
         return {
             "polynomial": list(self.polynomial.coeffs),
             "pretty": format_polynomial(self.polynomial),
-            "representative": None if rep is None else digraph_to_json_obj(rep),
+            "representative": digraph_to_json_obj(self.representative),
             "info": self.info,
         }
 
@@ -114,12 +120,11 @@ class SearchReport:
         for s in self.survivors:
             info = ", ".join(f"{k}={v}" for k, v in s.info.items())
             lines.append(f"  {format_polynomial(s.polynomial)}" + (f"  [{info}]" if info else ""))
-            if s.representative is not None:
-                edges = " ".join(
-                    f"{i + 1}->{j + 1}" + (f"x{k}" if k > 1 else "")
-                    for i, j, k in s.representative.edges()
-                )
-                lines.append(f"    representative: m={s.representative.m} {edges}")
+            rep = s.representative
+            edges = " ".join(
+                f"{i + 1}->{j + 1}" + (f"x{k}" if k > 1 else "") for i, j, k in rep.edges()
+            )
+            lines.append(f"    representative: m={rep.m} {edges}")
         if self.notes:
             lines.append("notes:")
             for n in self.notes:
@@ -178,11 +183,6 @@ def _partitions_exact(total: int, parts: int, minimum: int):
 # shape placement sweeps
 # ---------------------------------------------------------------------------
 
-def _arc(m: int, u: int, v: int) -> frozenset:
-    """Vertices of the forward arc u -> v (inclusive) on the standard m-cycle."""
-    return frozenset((u + t) % m for t in range(((v - u) % m) + 1))
-
-
 def sweep_ring(n: int, m: int):
     """All ring placements: compositions of m into n lengths times exit
     offsets.  Every swept digraph is built here."""
@@ -202,17 +202,17 @@ def sweep_shape_12(m: int):
 
     Yields (case, digraph) where case is 'disjoint', 'plain' (the two chord
     cycles intersect, chords do not interact), or 'crossing' (a cycle through
-    both chords exists).
+    both chords exists).  The chord cycles cover the forward arcs 0..s1 and
+    t2..s2, which are disjoint when s1 < t2 <= s2; a cycle through both chords
+    exists when s2 < t2 <= s1.
     """
     for a1, d1 in sweep_shape_11(m):
         s1 = a1 - 1
-        a_1 = _arc(m, 0, s1)
         for s2 in range(m):
             for t2 in range(m):
-                a_2 = _arc(m, t2, s2)
-                if not (a_1 & a_2):
+                if s1 < t2 <= s2:
                     case = "disjoint"
-                elif not (_arc(m, 0, s2) & _arc(m, t2, s1)):
+                elif s2 < t2 <= s1:
                     case = "crossing"
                 else:
                     case = "plain"
@@ -282,7 +282,7 @@ def verify_case_c_le_2(m_max: int) -> SearchReport:
         "b1_positive": 0,
     }
     p1_distribution: dict[int, int] = {}
-    # palindromic classes: coeffs -> {count, representative, primitive seen}
+    # palindromic classes: coeffs -> {count, first placement's ring shape, primitive seen}
     palindromic: dict[tuple, dict] = {}
 
     # the (1,1) and (1,2) chord placements, keyed by their expected p(1)
@@ -315,12 +315,10 @@ def verify_case_c_le_2(m_max: int) -> SearchReport:
             if cls is not PalindromeClass.PALINDROMIC:
                 eliminated["neither_class"] += 1
                 continue
-            a = min(a1, a2)
-            if p != two_cycle_polynomial(a, m - a, m // 2):
-                raise CounterexampleError(
-                    f"palindromic (2,2) shape {shape} outside the LT expressions"
-                )
-            rec = palindromic.setdefault(p.coeffs, {"count": 0, "rep": dg, "primitive": False})
+            rec = palindromic.get(p.coeffs)
+            if rec is None:
+                ring = ring_shape((a1, a2), (pp - 1, qq - 1))
+                rec = palindromic[p.coeffs] = {"count": 0, "ring": ring, "primitive": False}
             rec["count"] += 1
             if not rec["primitive"] and is_primitive(dg):
                 rec["primitive"] = True
@@ -344,7 +342,7 @@ def verify_case_c_le_2(m_max: int) -> SearchReport:
         survivors.append(
             SurvivorEntry(
                 IntPolynomial(coeffs),
-                rec["rep"],
+                rec["ring"],
                 {
                     "shape": "(2,2)",
                     "d": d_half,
@@ -682,10 +680,6 @@ def _decide_candidate(task):
     return "inconclusive", None, None
 
 
-def _build_c4_representative(parts, d: int) -> MultiDigraph:
-    return build_shape_nc(ring_shape_with_through(parts, d))
-
-
 def genus_candidates(
     g: int,
     c_max: int,
@@ -713,8 +707,8 @@ def genus_candidates(
     window_lo = 2 * g
     bound = hironaka_bound(g, tolf) if g >= 6 else None
 
-    # (poly, info dict, representative builder, its arguments); only survivors
-    # get their representative built
+    # (poly, info dict, ring shape builder, its arguments); only survivors get
+    # their shape built
     candidates = []
     if c_max >= 2:
         for m in range(window_lo, window_hi + 1, 2):
@@ -722,7 +716,7 @@ def genus_candidates(
             for a in range(1, d):
                 info = {"family": "lt", "d": d, "a": a, "m": m}
                 candidates.append(
-                    (lt_polynomial(d, a), info, build_shape_22, (a, 2 * d - a, 1, d - 1))
+                    (lt_polynomial(d, a), info, ring_shape, ((a, 2 * d - a), (0, d - 2)))
                 )
     if c_max >= 4:
         for m in range(window_lo, window_hi + 1, 2):
@@ -730,7 +724,7 @@ def genus_candidates(
             for parts in _partitions_exact(2 * d, 4, 2):
                 info = {"family": "c4", "d": d, "a": list(parts), "m": m}
                 candidates.append(
-                    (c4_polynomial(d, parts), info, _build_c4_representative, (parts, d))
+                    (c4_polynomial(d, parts), info, ring_shape_with_through, (parts, d))
                 )
 
     bound_lo = bound.bound.lo if bound is not None else None
@@ -746,13 +740,13 @@ def genus_candidates(
     survivors = []
     eliminated = {"lambda_above_bound": 0}
     inconclusive = 0
-    for (poly, info, build, args), (status, lam_lo, lam_hi) in zip(candidates, results):
+    for (poly, info, make_shape, args), (status, lam_lo, lam_hi) in zip(candidates, results):
         if status == "survivor":
             lam = RootResult(lam_lo, lam_hi)
             entry_info = dict(info)
             entry_info["lambda"] = lam.decimal(5)
             entry_info["m_minus_2g"] = info["m"] - 2 * g
-            survivors.append(SurvivorEntry(poly, build(*args), entry_info))
+            survivors.append(SurvivorEntry(poly, make_shape(*args), entry_info))
         elif status == "eliminated":
             eliminated["lambda_above_bound"] += 1
         else:

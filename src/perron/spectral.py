@@ -66,10 +66,6 @@ class RootResult:
         return (self.lo + self.hi) / 2
 
     @property
-    def value(self) -> float:
-        return float(self.midpoint)
-
-    @property
     def width(self) -> Fraction:
         return self.hi - self.lo
 

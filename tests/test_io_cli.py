@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -331,6 +332,24 @@ def test_cli_determinism(fig1_path):
     assert runs[0] == runs[1]
     runs = [invoke("charpoly", fig1_path) for _ in range(2)]
     assert runs[0] == runs[1]
+
+
+# SHA-256 of the stdout of `perron search`, text and JSON: the survivors, their
+# certified roots and the representative digraph built for each
+SEARCH_REPORT_DIGESTS = {
+    ("--genus", "6", "--max-c", "4"): "c161f9c7320cdeab6cf3d95c30046d9e2152d433cbbd3e1cc731e0f56b0008d9",
+    ("--genus", "6", "--max-c", "4", "--format", "json"): (
+        "b5ec20c6f7b593cc6a3ed560fc4f8a0fc7b526807c78523bf0e18015f19f569c"
+    ),
+    ("--genus", "5", "--max-c", "5"): "d9d7697ec5585d7f07fa9c719725d725f02719060127b3128d50b939d687dc3c",
+}
+
+
+@pytest.mark.parametrize("args", list(SEARCH_REPORT_DIGESTS))
+def test_cli_search_report_is_pinned(args):
+    code, out, err = invoke("search", *args)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == SEARCH_REPORT_DIGESTS[args]
 
 
 # ---------------------------------------------------------------------------

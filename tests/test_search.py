@@ -332,6 +332,26 @@ def test_genus_candidates_jobs_equivalence():
     )
 
 
+def test_genus_candidates_builds_digraphs_only_when_rendered(monkeypatch):
+    """A survivor keeps its ring shape: the search builds no digraph, and each
+    rendering builds one per survivor."""
+    built = []
+    from_grid = MultiDigraph.__dict__["_from_grid"].__func__
+
+    def counting(cls, grid):
+        built.append(len(grid))
+        return from_grid(cls, grid)
+
+    monkeypatch.setattr(MultiDigraph, "_from_grid", classmethod(counting))
+    report = genus_candidates(8, 4)
+    assert built == [] and report.survivors
+    report.render_text()
+    assert len(built) == len(report.survivors)
+    built.clear()
+    report.to_json_obj()
+    assert len(built) == len(report.survivors)
+
+
 def test_genus_candidates_range_errors():
     with pytest.raises(ParameterRangeError):
         genus_candidates(4, 2)
