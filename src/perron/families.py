@@ -52,15 +52,27 @@ class GenusBound:
     bound: RootResult
 
 
+def _ring_polynomial(lengths, through: int) -> IntPolynomial:
+    """prod_k (x^{l_k} - 1) - x^{m-through}, m = sum(lengths): the charpoly of
+    disjoint cycles of lengths l_k joined in a ring by a through-cycle of that
+    length, i.e. the clique polynomial of its cycle graph (McMullen 2015)."""
+    terms = {0: 1}
+    for l in lengths:
+        product: dict[int, int] = {}
+        for e, c in terms.items():
+            product[e + l] = product.get(e + l, 0) + c
+            product[e] = product.get(e, 0) - c
+        terms = product
+    m = sum(lengths)
+    terms[m - through] = terms.get(m - through, 0) - 1
+    return IntPolynomial.from_terms(m, terms)
+
+
 def two_cycle_polynomial(a1: int, a2: int, a3: int) -> IntPolynomial:
     """x^m - x^{m-a1} - x^{a1} - x^{m-a3} + 1 with m = a1 + a2, colliding
     exponents summed: the characteristic polynomial of two cycles of lengths
     a1, a2 joined both ways by a through-cycle of length a3."""
-    m = a1 + a2
-    terms: dict[int, int] = {}
-    for e, c in ((m, 1), (m - a1, -1), (a1, -1), (m - a3, -1), (0, 1)):
-        terms[e] = terms.get(e, 0) + c
-    return IntPolynomial.from_terms(m, terms)
+    return _ring_polynomial((a1, a2), a3)
 
 
 def lt_polynomial(d: int, a: int) -> IntPolynomial:
@@ -77,28 +89,16 @@ def c4_polynomial(d: int, a_vec) -> IntPolynomial:
     where the pair sum runs over all six unordered pairs (the complementary
     pairs supply the mirror terms).  Always palindromic; symmetric in a_vec.
     """
-    a = tuple(int(x) for x in a_vec)
+    a = tuple(a_vec)
+    if not (isinstance(d, int) and all(isinstance(ai, int) for ai in a)):
+        raise ParameterRangeError(f"c4_polynomial needs integer arguments, got d={d!r}, a={a!r}")
     if len(a) != 4:
         raise ParameterRangeError("c4_polynomial needs exactly four lengths")
     if any(ai < 2 for ai in a):
         raise ParameterRangeError(f"each length must be >= 2, got {a}")
     if sum(a) != 2 * d:
         raise ParameterRangeError(f"lengths must sum to 2d = {2 * d}, got sum {sum(a)}")
-    terms: dict[int, int] = {}
-
-    def add(e, c):
-        terms[e] = terms.get(e, 0) + c
-
-    add(2 * d, 1)
-    add(0, 1)
-    add(d, -1)
-    for ai in a:
-        add(2 * d - ai, -1)
-        add(ai, -1)
-    for k in range(4):
-        for l in range(k + 1, 4):
-            add(a[k] + a[l], 1)
-    return IntPolynomial.from_terms(2 * d, terms)
+    return _ring_polynomial(a, d)
 
 
 def build_shape_22(a1: int, a2: int, p: int, q: int) -> MultiDigraph:

@@ -13,6 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
+from operator import sub
 
 from .charpoly import (
     char_poly_ct,
@@ -144,13 +145,10 @@ def _compositions(total: int, parts: int):
 
 
 def _weak_compositions(total: int, parts: int):
-    """Ordered tuples of `parts` non-negative integers summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _weak_compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """Ordered tuples of `parts` non-negative integers summing to `total`:
+    the gaps between sorted cuts 0 <= c_1 <= ... <= c_{parts-1} <= total."""
+    for cuts in itertools.combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(map(sub, cuts + (total,), (0,) + cuts))
 
 
 def _partitions_le(total: int, parts: int):

@@ -1,0 +1,23 @@
+import importlib
+import importlib.util
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def test_every_traced_entry_point_exists():
+    """The benchmark only warns when an entry point it traces is gone, so a
+    renamed or deleted library function would silently read 0 calls."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for targets in tracing.KERNELS.values():
+        for module_name, attr in targets:
+            obj = importlib.import_module(module_name)
+            for part in attr.split("."):
+                obj = getattr(obj, part, None)
+            if not callable(obj):
+                missing.append(f"{module_name}.{attr}")
+    assert sum(map(len, tracing.KERNELS.values())) >= 20
+    assert missing == []

@@ -70,6 +70,40 @@ def test_c4_range_errors():
         c4_polynomial(5, (2, 2, 2, 2))
 
 
+def test_c4_refuses_non_integer_arguments():
+    for d, a_vec in ((4, (2.7, 2, 2, 2)), (4, ("2", "2", "2", "2")), (4.0, (2, 2, 2, 2))):
+        with pytest.raises(ParameterRangeError, match="integer"):
+            c4_polynomial(d, a_vec)
+
+
+def test_family_polynomials_match_their_expanded_terms():
+    """The ring product against the paper's expanded formulas, colliding
+    exponents included: a1 = a2 and a3 in {0, a1, m}."""
+
+    def expanded(degree, signed_exponents):
+        terms = {}
+        for e, c in signed_exponents:
+            terms[e] = terms.get(e, 0) + c
+        return IntPolynomial.from_terms(degree, terms)
+
+    for m in range(2, 21):
+        for a1 in range(1, m):
+            for a3 in range(m + 1):
+                want = expanded(m, ((m, 1), (m - a1, -1), (a1, -1), (m - a3, -1), (0, 1)))
+                assert two_cycle_polynomial(a1, m - a1, a3) == want, (a1, m - a1, a3)
+            with pytest.raises(ParameterRangeError, match="exponent -1 outside"):
+                two_cycle_polynomial(a1, m - a1, m + 1)
+    assert str(two_cycle_polynomial(3, 3, 0)) == "-2x^3 + 1"
+    assert two_cycle_polynomial(3, 3, 0).degree == 6
+
+    for d in range(4, 21):
+        for a in _partitions_exact(2 * d, 4, 2):
+            pairs = [(a[k] + a[l], 1) for k in range(4) for l in range(k + 1, 4)]
+            singles = [(e, -1) for ai in a for e in (2 * d - ai, ai)]
+            want = expanded(2 * d, [(2 * d, 1), (0, 1), (d, -1)] + singles + pairs)
+            assert c4_polynomial(d, a) == want, (d, a)
+
+
 def test_c4_palindromic_sweep():
     def partitions(total, parts, minimum):
         if parts == 1:

@@ -228,6 +228,12 @@ def test_cli_fixture():
     assert parse_digraph(out) == figure1()
 
 
+def test_cli_c4_degree_cap():
+    code, out, err = invoke("c4", "50001", "25002", "25002", "25002", "24996")
+    assert (code, out) == (1, "")
+    assert err == "error: resource-limit: degree 100002 exceeds the cap of 100000\n"
+
+
 @pytest.mark.parametrize("command", ["charpoly", "hamsong"])
 @pytest.mark.parametrize("text", ["abc\n", "3\n1 2\n1 2 x\n"])
 def test_cli_non_integer_field(tmp_path, command, text):

@@ -35,6 +35,7 @@ from perron.search import (
     verify_case_c_le_2,
     verify_case_odd_diagonal,
     _compositions,
+    _weak_compositions,
     _decide_candidate,
 )
 
@@ -444,6 +445,21 @@ def test_compositions_match_their_recursive_definition():
     for total in range(-2, 16):
         for parts in range(1, 8):
             assert list(_compositions(total, parts)) == direct(total, parts), (total, parts)
+
+
+def test_weak_compositions_match_their_recursive_definition():
+    def direct(total, parts):
+        if parts == 1:
+            return [(total,)]
+        return [
+            (first,) + rest
+            for first in range(total + 1)
+            for rest in direct(total - first, parts - 1)
+        ]
+
+    for total in range(-2, 16):
+        for parts in range(1, 8):
+            assert list(_weak_compositions(total, parts)) == direct(total, parts), (total, parts)
 
 
 # SHA-256 of the stdout of ``perron verify <case> --format text|json``
