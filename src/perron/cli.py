@@ -162,7 +162,8 @@ def _cmd_shape22(args, out):
 
 def _print_report(report, fmt, out):
     if fmt == "json":
-        print(json.dumps(report.to_json_obj(), indent=2, sort_keys=True), file=out)
+        json.dump(report.to_json_obj(), out, indent=2, sort_keys=True)
+        out.write("\n")
     else:
         print(report.render_text(), file=out)
 

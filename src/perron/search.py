@@ -26,7 +26,6 @@ from .digraph import (
     complexity,
     cycle_digraph,
     is_primitive,
-    is_strongly_connected,
 )
 from .errors import (
     CounterexampleError,
@@ -138,10 +137,11 @@ class SearchReport:
 # ---------------------------------------------------------------------------
 
 def _compositions(total: int, parts: int):
-    """Ordered tuples of `parts` positive integers summing to `total`."""
+    """Ordered tuples of `parts` positive integers summing to `total`:
+    the gaps between sorted cuts 0 < c_1 < ... < c_{parts-1} < total."""
     if total >= parts:
-        for w in _weak_compositions(total - parts, parts):
-            yield tuple(x + 1 for x in w)
+        for cuts in itertools.combinations(range(1, total), parts - 1):
+            yield tuple(map(sub, cuts + (total,), (0,) + cuts))
 
 
 def _weak_compositions(total: int, parts: int):
@@ -420,57 +420,51 @@ def _check_report_balance(report: SearchReport):
 # isomorph-free enumeration
 # ---------------------------------------------------------------------------
 
-def _margin_matrices(row_sums, col_sums):
-    """All non-negative integer grids with the given exact row and column sums."""
-    V = len(row_sums)
-    grid = [[0] * V for _ in range(V)]
-    col_rem = list(col_sums)
-
-    def fill(r, j, rem):
-        if j == V - 1:
-            if rem <= col_rem[j]:
-                grid[r][j] = rem
-                col_rem[j] -= rem
-                if r == V - 1:
-                    if all(x == 0 for x in col_rem):
-                        yield [row[:] for row in grid]
-                else:
-                    yield from fill(r + 1, 0, row_sums[r + 1])
-                col_rem[j] += rem
-                grid[r][j] = 0
-            return
-        for x in range(min(rem, col_rem[j]), -1, -1):
-            grid[r][j] = x
-            col_rem[j] -= x
-            yield from fill(r, j + 1, rem - x)
-            col_rem[j] += x
-            grid[r][j] = 0
-
-    yield from fill(0, 0, row_sums[0])
+def _plain_vertices(rows) -> set[int]:
+    """The vertices with in = out = 1."""
+    return {v for v, row in enumerate(rows) if sum(row) == 1 and sum(r[v] for r in rows) == 1}
 
 
-def _cores(c: int, v_max: int) -> list[MultiDigraph]:
+def _cores(c: int, v_max: int, cap: int) -> list[MultiDigraph]:
     """Strongly connected multi-digraphs with V + c edges on V <= min(2c, v_max)
-    vertices and in+out degree >= 3 everywhere: the smoothing cores.
+    vertices and no in = out = 1 vertex: the smoothing cores, sorted by
+    canonical form, each an unspecified member of its class.
 
     Every strongly connected digraph of complexity c >= 1 arises uniquely by
     subdividing the arcs of its core (suppressing all in=out=1 vertices).
+    Each core grows from a cycle by c ears, paths u -> v (u = v allowed)
+    through new vertices.  An ear clears in = out = 1 from at most its two
+    ends, so no ear may leave more such vertices than twice the ears to come.
     """
-    found: dict[bytes, MultiDigraph] = {}
-    for V in range(1, min(2 * c, v_max) + 1):
-        E = V + c
-        for row_sums in _compositions(E, V):
-            base = [max(1, 3 - r) for r in row_sums]
-            rest = E - sum(base)
-            if rest < 0:
-                continue
-            for extra in _weak_compositions(rest, V):
-                col_sums = [base[v] + extra[v] for v in range(V)]
-                for grid in _margin_matrices(row_sums, col_sums):
-                    dg = MultiDigraph._from_grid(grid)
-                    if is_strongly_connected(dg):
+    v_max = min(2 * c, v_max)
+    level = [cycle_digraph(V) for V in range(1, v_max + 1)]
+    ears = 0
+    for left in reversed(range(c)):  # ears still to come after this level's
+        plains = [_plain_vertices(d.rows) for d in level]
+        ears += sum(
+            d.m * d.m * (min(v_max - d.m, 2 * left + 2 - len(plain)) + 1)
+            for d, plain in zip(level, plains)
+        )
+        if ears > cap:
+            raise ResourceLimitError(
+                f"core growth estimate of {ears} ears exceeds cap {cap}", estimate=ears
+            )
+        found: dict[bytes, MultiDigraph] = {}
+        for d, plain in zip(level, plains):
+            V = d.m
+            for u in range(V):
+                for v in range(V):
+                    cleared = (u in plain) + (v != u and v in plain)
+                    for L in range(min(v_max - V, 2 * left - len(plain) + cleared) + 1):
+                        grid = [[*row, *[0] * L] for row in d.rows]
+                        grid += [[0] * (V + L) for _ in range(L)]
+                        path = [u, *range(V, V + L), v]
+                        for a, b in zip(path, path[1:]):
+                            grid[a][b] += 1
+                        dg = MultiDigraph._from_grid(grid)
                         found.setdefault(canonical_form(dg), dg)
-    return [found[k] for k in sorted(found)]
+        level = [found[k] for k in sorted(found)]
+    return level
 
 
 def _subdivide(core: MultiDigraph, assignment) -> MultiDigraph:
@@ -500,9 +494,10 @@ def enumerate_digraphs(
     m: int, c: int, n_cycles: int | None = None, cap: int = ENUMERATION_CAP_DEFAULT
 ) -> list[MultiDigraph]:
     """All strongly connected multi-digraphs with m vertices and m + c edges,
-    one representative per isomorphism class, sorted by canonical form.
+    one unspecified member per isomorphism class, sorted by canonical form.
 
-    Full enumeration is supported for m <= 14; pass ``n_cycles`` for the
+    Full enumeration subdivides the arcs of the cores that ``_cores`` grows by
+    ears, and is supported for m <= 14; pass ``n_cycles`` for the
     shape-restricted sweep (one representative per class of digraphs built
     from n disjoint cycles in the ring arrangement plus free extra edges).
     """
@@ -520,7 +515,7 @@ def enumerate_digraphs(
     if c == 0:
         return [cycle_digraph(m)]
 
-    cores = _cores(c, m)  # each on at most m vertices
+    cores = _cores(c, m, cap)  # each on at most m vertices
     estimate = 0
     for core in cores:
         E = core.edge_count
@@ -532,23 +527,11 @@ def enumerate_digraphs(
 
     reps: dict[bytes, MultiDigraph] = {}
     for core in cores:
-        groups = list(core.edges())
-        extra = m - core.m
-
-        def assignments(gi, remaining):
-            if gi == len(groups):
-                if remaining == 0:
-                    yield []
-                return
-            _, _, k = groups[gi]
-            for s in range(remaining + 1):
-                for parts in _partitions_le(s, k):
-                    for rest in assignments(gi + 1, remaining - s):
-                        yield [parts] + rest
-
-        for assignment in assignments(0, extra):
-            dg = _subdivide(core, assignment)
-            reps.setdefault(canonical_form(dg), dg)
+        groups = [k for _, _, k in core.edges()]
+        for sizes in _weak_compositions(m - core.m, len(groups)):
+            for assignment in itertools.product(*map(_partitions_le, sizes, groups)):
+                dg = _subdivide(core, assignment)
+                reps.setdefault(canonical_form(dg), dg)
     return [reps[k] for k in sorted(reps)]
 
 

@@ -125,6 +125,31 @@ def test_enumerate_m_limit_and_cap():
     assert exc.value.estimate is not None and exc.value.estimate > 10
 
 
+def test_enumerate_checks_the_core_cap_before_labelling(monkeypatch):
+    def no_labels(d):
+        raise AssertionError("a digraph was labelled before the cap was checked")
+
+    monkeypatch.setattr(perron.search, "canonical_form", no_labels)
+    with pytest.raises(ResourceLimitError) as exc:
+        enumerate_digraphs(12, 2, cap=10)
+    assert exc.value.estimate is not None and exc.value.estimate > 10
+
+
+def test_enumerate_classes_are_pinned():
+    """SHA-256 of the concatenated canonical forms, in the returned order, of
+    the classes at complexities 2..4, sizes the brute-force oracle cannot reach."""
+    digest = hashlib.sha256()
+    for m, c in ((6, 2), (5, 3), (4, 4)):
+        for d in enumerate_digraphs(m, c):
+            digest.update(canonical_form(d))
+    assert digest.hexdigest() == "d7e4f014d9d098d395e667ee8d478a5500172d8f32de2e1ed0b035cff5d1072d"
+
+
+def test_enumerate_matches_brute_force_at_complexity_3():
+    for m in (2, 3):
+        assert len(enumerate_digraphs(m, 3)) == brute_force_class_count(m, 3), m
+
+
 def test_shape_restricted_enumeration_degree14():
     digs = enumerate_digraphs(14, 2, n_cycles=2)
     target = lt_polynomial(7, 6)
