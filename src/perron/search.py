@@ -152,20 +152,27 @@ def _weak_compositions(total: int, parts: int):
 
 
 def _partitions_le(total: int, parts: int):
-    """Non-increasing tuples of `parts` non-negative integers summing to `total`."""
-
-    def rec(remaining, k, cap):
-        if k == 1:
-            if remaining <= cap:
-                yield (remaining,)
-            return
-        for first in range(min(remaining, cap), -1, -1):
-            if remaining - first > first * (k - 1):
+    """Non-increasing tuples of `parts` >= 1 non-negative integers summing to
+    `total` >= 0, in decreasing lexicographic order."""
+    a = [total] + [0] * (parts - 1)
+    while True:
+        yield tuple(a)
+        # the next tuple lowers the rightmost entry that can drop by one while
+        # the entries after it, one more in all, still fit under it, and then
+        # fills those entries greedily
+        rest = 0
+        for i in range(parts - 2, -1, -1):
+            rest += a[i + 1]
+            cap = a[i] - 1
+            if rest + 1 <= cap * (parts - 1 - i):
                 break
-            for rest in rec(remaining - first, k - 1, first):
-                yield (first,) + rest
-
-    yield from rec(total, parts, total)
+        else:
+            return
+        a[i] = cap
+        rest += 1
+        for t in range(i + 1, parts):
+            a[t] = min(cap, rest)
+            rest -= a[t]
 
 
 def _partitions_exact(total: int, parts: int, minimum: int):

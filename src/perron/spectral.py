@@ -2,8 +2,9 @@
 the complexity bound check, and spectral monotonicity witnesses.
 
 Every polynomial sign here is an exact integer computation at a rational
-point; floating point only appears when a bracket is rendered as a decimal
-string.
+point.  Floating point appears only where nothing rests on it: in the estimate
+from which ``_named_cell`` names a bracket that exact signs and a Descartes
+count then certify, and when a bracket is rendered as a decimal string.
 
 A palindromic p of even degree 2d is p(x) = x^d q(x + 1/x) with q the integer
 trace polynomial of degree d (``IntPolynomial._trace``).  For x > 0 the sign
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import floor, frexp, gcd, isfinite
 
 from .charpoly import _edge_placement_coeffs, char_poly_ct
 from .digraph import MultiDigraph, complexity, is_primitive, is_strongly_connected
@@ -45,6 +46,14 @@ _TOL_FLOOR = Fraction(1, 10**300)
 # the fraction digits are rendered as one int, and CPython refuses to convert
 # an int of more than 4,300 digits to text by default
 _MAX_DIGITS = 4300
+# ``_named_cell``: the float sign-bisection levels before Newton steps take
+# over and the cap on those steps; the grid level of the Descartes certificate,
+# whose small denominators keep its Taylor shift cheap; and the narrowest cell
+# a float estimate names, r * 2^-42
+_GUESS_LEVELS = 6
+_NEWTON_STEPS = 20
+_COARSE_LEVEL = 10
+_FLOAT_BITS = 42
 
 
 @dataclass(frozen=True)
@@ -181,7 +190,8 @@ def _cauchy_bound(p: IntPolynomial) -> int:
 def largest_real_root(p: IntPolynomial, tol=DEFAULT_TOL) -> RootResult:
     """Certified bracket of width <= tol around the largest real root in [1, oo).
 
-    Tries ``fast_bracket_at_least_one`` first and, when its certificate fails,
+    Tries ``_named_cell`` first, which names the bracket from a float estimate
+    of the root and certifies it exactly.  When one of its checks fails,
     bisects on exact Sturm counts; raises NoRootAtLeastOne when those show no
     real root >= 1.  Both routes give the same bracket.
     """
@@ -190,8 +200,129 @@ def largest_real_root(p: IntPolynomial, tol=DEFAULT_TOL) -> RootResult:
     if not p.is_monic:
         raise ParameterRangeError("largest_real_root expects a monic polynomial")
     tolf = _positive_tol(tol)
-    fast = fast_bracket_at_least_one(p, tolf)
-    return fast if fast is not None else _sturm_bracket(p, tolf)
+    named = _named_cell(p, tolf)
+    return named if named is not None else _sturm_bracket(p, tolf)
+
+
+def _named_cell(p: IntPolynomial, tolf: Fraction) -> RootResult | None:
+    """The bracket of ``_sturm_bracket`` for a monic p with p(1) < 0, named from
+    a float estimate of its largest root r and certified exactly; None when a
+    check fails.
+
+    The Sturm route ends on the level-K cell of the dyadic grid of [1, U] that
+    holds r, where K is the first level whose cells are no wider than tolf,
+    unless a midpoint on its way is r itself.  The float estimate names a
+    level-K cell, or one of its two neighbours.  Exact signs -1 and +1 at the
+    cell's ends put a root inside it, and a Descartes count of 1 above the
+    level-10 grid point at or below it, or else above the cell's lower end,
+    makes that root the only one above the point: simple, the largest, and not
+    a grid point of level <= K.  So the Sturm route isolates r by level K and
+    bisects to this cell.  When an end of the cell is a root and the Descartes
+    count above it is 0, it is r and a midpoint on that way.  Floats do not
+    resolve cells narrower than about r * 2^-42; below that the deepest cell
+    they resolve is named and certified the same way, and sign bisection,
+    which follows r inside it, finishes.
+    """
+    if eval_at_one(p) >= 0:
+        return None
+    U = _cauchy_bound(p)
+    n = U - 1  # the cell width at level k is n / 2^k
+    tn, td = tolf.as_integer_ratio()
+    last = (-(-n * td // tn) - 1).bit_length()  # the first k with n / 2^k <= tolf
+    try:
+        r = _float_top_root(p, U)
+        if not isfinite(r):
+            return None
+        # the deepest level whose cells are at least r * 2^-_FLOAT_BITS wide
+        k = min(last, frexp(n / r)[1] - 1 + _FLOAT_BITS)
+        j = floor((r - 1) / n * (1 << k))
+    except (OverflowError, ZeroDivisionError):
+        return None
+
+    cs, point = _view(p)
+    den = 1 << k
+    j = min(max(j, 0), den - 1)
+
+    def sign(i):  # of p at the level-k grid point i
+        return _sign_at(cs, *point(den + i * n, den))
+
+    # p < 0 at 1 and > 0 at U, so the neighbour on the side of the sign change exists
+    s, t = sign(j), sign(j + 1)
+    if s > 0:
+        j -= 1
+        s, t = sign(j), s
+    elif s < 0 and t < 0:
+        j += 1
+        s, t = t, sign(j + 1)
+    if s == 0 or t == 0:  # a grid point is a root: the top one when none lies above
+        x = Fraction(den + (j + (s != 0)) * n, den)
+        return RootResult(x, x, 0, 0) if descartes_roots_above(p, x) == 0 else None
+    if s > 0 or t < 0:
+        return None
+    a, b = den + j * n, den + (j + 1) * n
+    coarse = min(_COARSE_LEVEL, k)
+    below = Fraction((1 << coarse) + (j >> (k - coarse)) * n, 1 << coarse)
+    lo = Fraction(a, den)
+    if descartes_roots_above(p, below) != 1 and (
+        below == lo or descartes_roots_above(p, lo) != 1
+    ):
+        return None
+
+    if k < last:
+        a, b, k = _sign_bisection(cs, a, b, k, tolf, point)
+        if a == b:
+            x = Fraction(a, 1 << k)
+            return RootResult(x, x, 0, 0)
+    return RootResult(Fraction(a, 1 << k), Fraction(b, 1 << k), -1, 1)
+
+
+def _float_top_root(p: IntPolynomial, U: int) -> float:
+    """Float estimate of a root in [1, U] of p, which is negative at 1 and
+    positive at U: a few levels of float sign bisection, then Newton steps
+    kept inside the bracket.
+
+    Both read f(x) = p(x) / x^degree = sum of b_i x^-i, which has the signs
+    and roots of p at x >= 1 and no term larger than its coefficient there,
+    so no power overflows at high degree.  They read it at x itself, not
+    through the trace polynomial, whose large alternating coefficients cancel
+    near x = 1.  Returns nan when floats cannot evaluate f; raises
+    OverflowError when a coefficient or U does not fit a float.
+    """
+    terms = [(float(c), -i) for i, c in enumerate(p.coeffs) if c]
+    lo, hi = 1.0, float(U)
+    for _ in range(_GUESS_LEVELS):
+        x = (lo + hi) / 2
+        v = 0.0
+        for c, e in terms:
+            v += c * x**e
+        if v != v:
+            return v
+        if v < 0:
+            lo = x
+        else:
+            hi = x
+    x = (lo + hi) / 2
+    for _ in range(_NEWTON_STEPS):
+        v = dv = 0.0
+        for c, e in terms:
+            t = c * x ** (e - 1)
+            v += t * x
+            dv += t * e
+        if v != v:
+            return v
+        if v < 0:
+            lo = x
+        elif v > 0:
+            hi = x
+        else:
+            break
+        step = v / dv
+        if abs(step) <= x * 2.0**-46:
+            break
+        x -= step
+        if not lo < x < hi:
+            x = (lo + hi) / 2
+    return x
 
 
 def _positive_tol(tol) -> Fraction:
@@ -271,6 +402,8 @@ def fast_bracket_at_least_one(p: IntPolynomial, tol) -> RootResult | None:
     is certified when the Descartes count above lo is exactly 1: the one root
     above lo is then simple and the largest, and every visited interval holds
     it, so the Sturm route visits the same intervals and returns this bracket.
+    ``largest_real_root`` reaches the same bracket through ``_named_cell``,
+    which skips the bisection and checks this certificate on its cell.
     """
     if not p.is_monic or p.degree < 1 or eval_at_one(p) >= 0:
         return None

@@ -35,6 +35,7 @@ from perron.search import (
     verify_case_c_le_2,
     verify_case_odd_diagonal,
     _compositions,
+    _partitions_le,
     _weak_compositions,
     _decide_candidate,
 )
@@ -485,6 +486,30 @@ def test_weak_compositions_match_their_recursive_definition():
     for total in range(-2, 16):
         for parts in range(1, 8):
             assert list(_weak_compositions(total, parts)) == direct(total, parts), (total, parts)
+
+
+def test_partitions_le_match_their_recursive_definition():
+    # the order matters: _partitions_exact feeds the c4 genus candidates
+    def direct(total, parts, cap):
+        if parts == 1:
+            return [(total,)] if total <= cap else []
+        return [
+            (first,) + rest
+            for first in range(min(total, cap), -1, -1)
+            if total - first <= first * (parts - 1)
+            for rest in direct(total - first, parts - 1, first)
+        ]
+
+    for total in range(16):
+        for parts in range(1, 8):
+            assert list(_partitions_le(total, parts)) == direct(total, parts, total), (total, parts)
+
+
+def test_enumerate_one_vertex_with_many_loops():
+    # the one core, a vertex with 1001 loops, has a group of 1001 parallel arcs
+    classes = enumerate_digraphs(1, 1000)
+    assert len(classes) == 1
+    assert classes[0].rows == ((1001,),)
 
 
 # SHA-256 of the stdout of ``perron verify <case> --format text|json``

@@ -1,8 +1,14 @@
+import importlib.util
 import random
+import warnings
 from fractions import Fraction
+from math import floor, nan
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import perron.spectral
 from perron.charpoly import char_poly_ct
 from perron.digraph import MultiDigraph, cycle_digraph
 from perron.errors import (
@@ -12,7 +18,8 @@ from perron.errors import (
 )
 from perron.families import build_shape_22, c4_polynomial, lt_polynomial
 from perron.fixtures import figure1
-from perron.polynomial import IntPolynomial, parse_polynomial
+from perron.polynomial import IntPolynomial, eval_at_one, parse_polynomial
+from perron.search import _partitions_exact
 from perron.spectral import (
     count_roots_above,
     descartes_roots_above,
@@ -21,6 +28,8 @@ from perron.spectral import (
     largest_real_root,
     monotonicity_witness,
     pf_eigenvalue,
+    _cauchy_bound,
+    _named_cell,
     _same_point,
     _sign_bisection,
     _sturm_bracket,
@@ -31,6 +40,7 @@ from perron.spectral import (
 from conftest import random_primitive_digraph
 
 TOL = Fraction(1, 10**7)
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 # frozen from a 40-digit independent high-precision computation
 GOLDEN_RATIO = Fraction(16180339887498948482, 10**19)
@@ -452,3 +462,169 @@ def test_pf_converges_on_a_long_two_cycle_ring():
     assert r.width <= Fraction(1, 10**6)
     lam = largest_real_root(char_poly_ct(d), Fraction(1, 10**9))
     assert r.lo <= lam.hi and lam.lo <= r.hi
+
+
+# ---------------------------------------------------------------------------
+# the named cell: a float estimate names the bracket, exact checks certify it
+# ---------------------------------------------------------------------------
+
+# 2^-20 makes the level-K cell exactly as wide as the tolerance when U - 1 is
+# a power of two
+NAMED_TOLS = (Fraction(1, 2**20),) + tuple(
+    Fraction(x) for x in ("3e-3", "1e-7", "1e-10", "1e-13", "1e-30", "1e-100", "1e-300")
+)
+FAST_PATH_DECLINES = (
+    "x^3 - 3x^2 + 4",
+    "x^3 - 6x^2 + 12x - 8",
+    "x^3 - 12x^2 + 44x - 48",
+    "x^7 - 70x^6 + 2100x^5 - 35000x^4 + 350000x^3 - 2080000x^2 + 6600400x - 8003998",
+)
+
+
+def _named_cell_cases():
+    polys = [lt_polynomial(d, a) for d, a in ((7, 6), (9, 1), (10, 3), (12, 11))]
+    polys += [c4_polynomial(d, parts) for d, parts in ((6, (2, 4, 3, 3)), (11, (3, 8, 5, 6)))]
+    squared = (lt_polynomial(4, 1), lt_polynomial(7, 3))
+    polys += [IntPolynomial(tuple(_mul(f.coeffs, f.coeffs))) for f in squared]
+    # seeded random monic polynomials, each last (or middle) coefficient set so
+    # that p(1) < 0 and the named cell is tried
+    rng = random.Random(14)
+    for _ in range(6):
+        cs = [1] + [rng.randint(-4, 4) for _ in range(rng.randint(1, 9))]
+        cs[-1] -= sum(cs) + rng.randint(1, 3)
+        polys.append(IntPolynomial(tuple(cs)))
+        half = [1] + [rng.randint(-3, 3) for _ in range(rng.randint(1, 7))]
+        half[-1] -= sum(half) + sum(half[:-1]) + rng.randint(1, 3)
+        polys.append(IntPolynomial(tuple(half + half[-2::-1])))
+    polys.append(parse_polynomial("x^2 - x - 2"))  # the bisection hits the root 2 exactly
+    polys += [parse_polynomial(text) for text in FAST_PATH_DECLINES]
+    return polys
+
+
+def _count_calls(monkeypatch, name):
+    """Record the arguments of every call to the spectral function ``name``."""
+    calls = []
+    original = getattr(perron.spectral, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(perron.spectral, name, counted)
+    return calls
+
+
+def test_named_cell_brackets_equal_the_sturm_route(monkeypatch):
+    fallbacks = _count_calls(monkeypatch, "_sturm_bracket")
+    brackets = 0
+    for p in _named_cell_cases():
+        for tol in NAMED_TOLS:
+            try:
+                expected = _sturm_bracket(p, tol)
+            except NoRootAtLeastOne:
+                with pytest.raises(NoRootAtLeastOne):
+                    largest_real_root(p, tol)
+                continue
+            assert largest_real_root(p, tol) == expected, (p, tol)  # lo, hi and both signs
+            brackets += 1
+    # the named cell settles the families, the random cases with p(1) < 0 and
+    # the dyadic root 2 at every tolerance; the squared and fast-path-declining
+    # inputs fall to the Sturm route
+    assert brackets - len(fallbacks) == 19 * len(NAMED_TOLS)
+
+
+def test_named_cell_rests_on_no_float_estimate(monkeypatch):
+    # whatever the estimate, the named cell is the Sturm route's bracket or None
+    guess = []
+    monkeypatch.setattr(perron.spectral, "_float_top_root", lambda p, U: guess[-1])
+    named = 0
+    for p in _named_cell_cases():
+        if eval_at_one(p) >= 0:
+            continue
+        for tol in NAMED_TOLS[:5]:
+            expected = _sturm_bracket(p, tol)
+            r = float(expected.lo)
+            for x in (1.0, 2.0, 4.0, r / 2, r * 0.99, r - 1e-9, r, r + 1e-9, r * 1.01, 2 * r, nan):
+                guess.append(x)
+                result = _named_cell(p, tol)
+                assert result is None or result == expected, (p, tol, x)
+                named += result is not None
+    assert named > 0
+
+def test_named_cell_certifies_its_own_cell_when_the_coarse_count_fails():
+    # (x - 2)(x - M + 1)(x - M - 1): the top two roots share a level-10 cell, so
+    # the count above its lower end is not 1, but the count above the named
+    # cell's lower end is
+    for M in (100, 1000):
+        p = IntPolynomial(tuple(_mul((1, -2), (1, -2 * M, M * M - 1))))
+        n = _cauchy_bound(p) - 1
+        for tol in NAMED_TOLS:
+            expected = _sturm_bracket(p, tol)
+            coarse = 1 + Fraction(floor((expected.lo - 1) * 1024 / n) * n, 1024)
+            assert descartes_roots_above(p, coarse) > 1
+            assert _named_cell(p, tol) == expected, (M, tol)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=7),
+    st.sampled_from(NAMED_TOLS[:5]),
+)
+def test_named_cell_brackets_equal_the_sturm_route_on_random_polynomials(tail, tol):
+    p = IntPolynomial((1, *tail))
+    try:
+        expected = _sturm_bracket(p, tol)
+    except NoRootAtLeastOne:
+        assert _named_cell(p, tol) is None
+        with pytest.raises(NoRootAtLeastOne):
+            largest_real_root(p, tol)
+        return
+    assert largest_real_root(p, tol) == expected
+
+
+def test_named_cell_survives_float_overflow():
+    # a coefficient above 1e308: U is not a float, so the named cell declines
+    huge = IntPolynomial((1, -(10**309), -1))
+    # x^25 (x - 10^15) - 1: its float value at U, about 1e390, overflows, but
+    # the float estimate reads p(x) / x^26, which does not
+    steep = IntPolynomial((1, -(10**15)) + (0,) * 24 + (-1,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _named_cell(huge, TOL) is None
+        assert _named_cell(steep, TOL) is not None
+        for p in (huge, steep):
+            assert largest_real_root(p, TOL) == _sturm_bracket(p, TOL)
+
+
+def test_named_cell_settles_the_genus_candidates(monkeypatch):
+    # the LT and c4 candidates of g = 5..8, as genus_candidates builds them
+    polys = []
+    for g in range(5, 9):
+        for m in range(2 * g, 6 * g - 5, 2):
+            d = m // 2
+            polys += [lt_polynomial(d, a) for a in range(1, d)]
+            polys += [c4_polynomial(d, parts) for parts in _partitions_exact(2 * d, 4, 2)]
+    assert len(polys) == 4544
+    calls = _count_calls(monkeypatch, "_sign_bisection")
+    for p in polys:
+        largest_real_root(p, TOL)
+    assert len(calls) <= len(polys) // 100
+
+
+def test_named_cell_settles_the_benchmark_root_queries(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    # the LT and c4 queries; each squared-LT query is certified by its factor
+    simple = []
+    for argv, expect in workloads.inputs("root_search", 1):
+        if argv[0] == "root":
+            p = parse_polynomial(argv[1])
+            if list(p.coeffs) == list(expect["factor"]):
+                simple.append(p)
+    assert len(simple) == 102
+    tol = Fraction(workloads.ROOT_TOL)
+    calls = _count_calls(monkeypatch, "_sign_bisection")
+    for p in simple:
+        largest_real_root(p, tol)
+    assert calls == []
