@@ -57,7 +57,6 @@ from .polynomial import (
 from .spectral import (
     RootResult,
     count_roots_above,
-    descartes_roots_above,
     largest_real_root,
 )
 
@@ -642,30 +641,27 @@ def count_realizations(p: IntPolynomial, n: int, c: int, cap: int = ENUMERATION_
 def _decide_candidate(task):
     """Compare one candidate polynomial against the genus bound bracket.
 
-    Returns (status, lo, hi) with status in survivor/eliminated/inconclusive;
-    survivors carry a certified bracket for their own largest root.
+    Returns (status, bracket), status survivor/eliminated/inconclusive.  A
+    negative sign at the bound's upper end eliminates the candidate before
+    its own certified bracket is computed.  A survivor reports that bracket,
+    or the bound's when the bound polynomial divides it and shares its top root.
     """
     poly, bound_lo, bound_hi, bound_poly, tol = task
-    if bound_lo is None:
-        lam = largest_real_root(poly, tol)
-        return "survivor", lam.lo, lam.hi
-    if poly == bound_poly:
-        return "survivor", bound_lo, bound_hi
-    if _sign_at(poly.coeffs, bound_hi.numerator, bound_hi.denominator) < 0:
-        return "eliminated", None, None  # a real root lies above the bound bracket
-    # a Descartes count of 0 spares the Sturm count
-    above_lo = count_roots_above(poly, bound_lo) if descartes_roots_above(poly, bound_lo) else 0
+    if bound_lo is not None and _sign_at(poly.coeffs, *bound_hi.as_integer_ratio()) < 0:
+        return "eliminated", None
+    lam = largest_real_root(poly, tol)
+    if bound_lo is None or lam.hi <= bound_lo:
+        return "survivor", lam
+    above_lo = count_roots_above(poly, bound_lo)
     if above_lo == 0:
-        lam = largest_real_root(poly, tol)
-        return "survivor", lam.lo, lam.hi
+        return "survivor", lam
     if count_roots_above(poly, bound_hi) >= 1:
-        return "eliminated", None, None
-    # the only roots at or above bound_lo sit inside the bound bracket; when the
-    # bound polynomial divides the candidate and that root is unique, the largest
-    # roots coincide exactly
+        return "eliminated", None
+    # the one root above bound_lo lies in the bound bracket and is the bound's root when
+    # the bound polynomial divides the candidate; its own grid could round differently
     if above_lo == 1 and not any(_pdivmod(poly.coeffs, bound_poly.coeffs)[1]):
-        return "survivor", bound_lo, bound_hi
-    return "inconclusive", None, None
+        return "survivor", RootResult(bound_lo, bound_hi)
+    return "inconclusive", None
 
 
 def genus_candidates(
@@ -728,9 +724,8 @@ def genus_candidates(
     survivors = []
     eliminated = {"lambda_above_bound": 0}
     inconclusive = 0
-    for (poly, info, make_shape, args), (status, lam_lo, lam_hi) in zip(candidates, results):
+    for (poly, info, make_shape, args), (status, lam) in zip(candidates, results):
         if status == "survivor":
-            lam = RootResult(lam_lo, lam_hi)
             entry_info = dict(info)
             entry_info["lambda"] = lam.decimal(5)
             entry_info["m_minus_2g"] = info["m"] - 2 * g

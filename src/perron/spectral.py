@@ -184,7 +184,7 @@ def descartes_roots_above(p: IntPolynomial, x: Fraction) -> int:
 
 def _cauchy_bound(p: IntPolynomial) -> int:
     """1 + max |b_i|: all real roots of the monic p lie strictly below it."""
-    return 1 + max(abs(c) for c in p.coeffs[1:])
+    return 1 + max((abs(c) for c in p.coeffs[1:]), default=0)
 
 
 def largest_real_root(p: IntPolynomial, tol=DEFAULT_TOL) -> RootResult:
@@ -419,6 +419,8 @@ def fast_bracket_at_least_one(p: IntPolynomial, tol) -> RootResult | None:
 
 def count_roots_above(p: IntPolynomial, x: Fraction) -> int:
     """Exact number of distinct real roots of p in (x, oo), by Sturm."""
+    if not any(p.coeffs):
+        raise ParameterRangeError("the zero polynomial vanishes at every x")
     x = to_fraction(x)
     cs, point = _view(p, x)
     chain = _sturm_chain(_squarefree(cs))

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 
 import perron.charpoly
 import perron.search
+import perron.spectral
 from perron.charpoly import char_poly_ct
 from perron.digraph import (
     MultiDigraph,
@@ -18,9 +20,9 @@ from perron.digraph import (
     is_strongly_connected,
 )
 from perron.errors import CounterexampleError, ParameterRangeError, ResourceLimitError
-from perron.families import build_shape_22, hironaka_bound, lt_polynomial
+from perron.families import build_shape_22, c4_polynomial, hironaka_bound, lt_polynomial
 from perron.fixtures import figure4
-from perron.polynomial import IntPolynomial, format_polynomial, parse_polynomial
+from perron.polynomial import IntPolynomial, _pdivmod, format_polynomial, parse_polynomial
 from perron.search import (
     ENUMERATION_CAP_DEFAULT,
     FIGURE4_POLYNOMIAL,
@@ -39,6 +41,7 @@ from perron.search import (
     _weak_compositions,
     _decide_candidate,
 )
+from perron.spectral import largest_real_root
 
 
 def brute_force_class_count(m, c):
@@ -405,6 +408,72 @@ def test_decide_reads_no_trace_for_candidates_the_bound_sign_eliminates():
     below = lt_polynomial(15, 14)
     assert _decide_candidate(task(below))[0] == "survivor"
     assert vars(below)["_trace"] is not None
+
+
+def _bound_task(g, tol=Fraction(1, 10**7)):
+    """The ``_decide_candidate`` task for a candidate at genus g, bound at 1e-7."""
+    bound = hironaka_bound(g, Fraction(1, 10**7))
+    bound_poly = lt_polynomial(bound.d, bound.a)
+    return bound.bound, lambda p: (p, bound.bound.lo, bound.bound.hi, bound_poly, tol)
+
+
+def test_decide_reports_the_bound_bracket_for_candidates_the_bound_divides():
+    bound, task = _bound_task(7)
+    bound_poly, c4 = lt_polynomial(8, 7), c4_polynomial(16, (9, 9, 7, 7))
+    assert not any(_pdivmod(c4.coeffs, bound_poly.coeffs)[1])
+    own = largest_real_root(c4, Fraction(1, 10**7))
+    assert (own.lo, own.hi) != (bound.lo, bound.hi)  # another grid, so the pin below bites
+    for poly in (bound_poly, c4):
+        status, lam = _decide_candidate(task(poly))
+        assert status == "survivor"
+        assert (lam.lo, lam.hi) == (bound.lo, bound.hi)
+
+
+def test_decide_reports_the_own_bracket_without_a_bound():
+    tol = Fraction(1, 10**7)
+    poly = lt_polynomial(6, 5)
+    status, lam = _decide_candidate((poly, None, None, None, tol))
+    own = largest_real_root(poly, tol)
+    assert status == "survivor" and (lam.lo, lam.hi) == (own.lo, own.hi)
+
+
+def test_decide_with_a_coarse_bracket_straddling_the_bound():
+    """At candidate tolerance 1/10 the candidate's own bracket contains the
+    bound's lower end, so the bracket alone decides nothing."""
+    coarse = Fraction(1, 10)
+    bound, task = _bound_task(6, coarse)
+    below, above = lt_polynomial(7, 5), lt_polynomial(6, 4)
+    for poly in (below, above):
+        lam = largest_real_root(poly, coarse)
+        assert lam.lo < bound.lo < lam.hi
+    status, lam = _decide_candidate(task(below))
+    own = largest_real_root(below, coarse)
+    assert status == "survivor" and (lam.lo, lam.hi) == (own.lo, own.hi)
+    assert _decide_candidate(task(above)) == ("eliminated", None)
+    # two roots above the bound leave the sign there positive, so the Sturm
+    # count at the bound's upper end eliminates; no LT or c4 candidate of
+    # g = 6..11 takes that branch
+    assert _decide_candidate(task(parse_polynomial("x^2 - 5x + 6"))) == ("eliminated", None)
+
+
+def test_genus_search_certifies_each_survivor_once(monkeypatch):
+    """Each survivor's Descartes certificate comes from its own bracket, with
+    no second count at the bound: the 474 survivors of g = 8 and the bound
+    make 475 calls, against 946 when every survivor was counted twice."""
+    calls = 0
+    original = perron.spectral.descartes_roots_above
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "perron" and getattr(module, "descartes_roots_above", None) is original:
+            monkeypatch.setattr(module, "descartes_roots_above", counting)
+    report = genus_candidates(8, 4)
+    assert len(report.survivors) == 474
+    assert calls <= 475
 
 
 def test_count_realizations_builds_one_prefix_grid_per_ring(monkeypatch):

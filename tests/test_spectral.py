@@ -416,6 +416,17 @@ def test_palindromic_root_exactly_one():
     assert descartes_roots_above(p, Fraction(1)) == 0
 
 
+def test_count_roots_above_a_constant():
+    for c in (3, -2):
+        for x in (Fraction(0), Fraction(-5), Fraction(7, 2)):
+            assert count_roots_above(IntPolynomial((c,)), x) == 0
+    assert count_roots_above(IntPolynomial((0, 0, 3)), Fraction(0)) == 0
+    # every x is a root of the zero polynomial, whatever its length
+    for n in (1, 2, 3):
+        with pytest.raises(ParameterRangeError):
+            count_roots_above(IntPolynomial((0,) * n), Fraction(0))
+
+
 def test_palindromic_repeated_top_root():
     # (x^2 - 3x + 1)^2: a double root at (3 + sqrt 5)/2 = 2.6180339887...
     p = parse_polynomial("x^4 - 6x^3 + 11x^2 - 6x + 1")
