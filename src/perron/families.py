@@ -8,6 +8,7 @@ with one connecting edge from each cycle to the next around the ring.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .digraph import MultiDigraph
 from .errors import ParameterRangeError
@@ -41,6 +42,35 @@ class Shape:
     def m(self) -> int:
         return sum(self.cycle_lengths)
 
+    def _layout(self) -> tuple[list[int], list[tuple[int, int]]]:
+        """Each vertex's successor on its cycle, and the (u, v) of each
+        attachment edge; the cycles take consecutive vertex blocks in order."""
+        lengths = self.cycle_lengths
+        starts = list(accumulate(lengths, initial=0))
+        succ = []
+        for s, l in zip(starts, lengths):
+            succ.extend(range(s + 1, s + l))
+            succ.append(s)
+        extra = [
+            (starts[sc] + so % lengths[sc], starts[tc] + to % lengths[tc])
+            for sc, so, tc, to in self.attachments
+        ]
+        return succ, extra
+
+    def arcs(self) -> list[tuple[int, int, int]]:
+        """The (i, j, k) edges of ``build_shape_nc(self)`` in row-major order,
+        with no grid: vertex i's cycle arc is arc i, and each row with
+        attachments is merged in, last row first."""
+        succ, extra = self._layout()
+        arcs = [(i, j, 1) for i, j in enumerate(succ)]
+        rows: dict[int, dict[int, int]] = {}
+        for u, v in extra:
+            row = rows.setdefault(u, {succ[u]: 1})
+            row[v] = row.get(v, 0) + 1
+        for u in sorted(rows, reverse=True):
+            arcs[u : u + 1] = [(u, v, k) for v, k in sorted(rows[u].items())]
+        return arcs
+
 
 @dataclass(frozen=True)
 class GenusBound:
@@ -66,6 +96,17 @@ def _ring_polynomial(lengths, through: int) -> IntPolynomial:
     m = sum(lengths)
     terms[m - through] = terms.get(m - through, 0) - 1
     return IntPolynomial.from_terms(m, terms)
+
+
+def _ring_sign_at(lengths, through: int, num: int, den: int) -> int:
+    """Sign of ``_ring_polynomial(lengths, through)`` at num/den, den > 0, from
+    the lengths alone: den^m * p(num/den) = prod_k (num^{l_k} - den^{l_k})
+    - num^{m-through} * den^through."""
+    acc = 1
+    for l in lengths:
+        acc *= num**l - den**l
+    acc -= num ** (sum(lengths) - through) * den**through
+    return (acc > 0) - (acc < 0)
 
 
 def two_cycle_polynomial(a1: int, a2: int, a3: int) -> IntPolynomial:
@@ -119,21 +160,13 @@ def build_shape_22(a1: int, a2: int, p: int, q: int) -> MultiDigraph:
 
 def build_shape_nc(shape: Shape) -> MultiDigraph:
     """Concrete digraph for a shape: cycle blocks plus attachment edges."""
-    lengths = shape.cycle_lengths
-    m = shape.m
+    succ, extra = shape._layout()
+    m = len(succ)
     grid = [[0] * m for _ in range(m)]
-    starts = []
-    base = 0
-    for l in lengths:
-        starts.append(base)
-        for i in range(base, base + l - 1):
-            grid[i][i + 1] += 1
-        grid[base + l - 1][base] += 1
-        base += l
-    for sc, so, tc, to in shape.attachments:
-        u = starts[sc] + so % lengths[sc]
-        v = starts[tc] + to % lengths[tc]
-        grid[u][v] += 1
+    for row, j in zip(grid, succ):
+        row[j] = 1
+    for i, j in extra:
+        grid[i][j] += 1
     return MultiDigraph._from_grid(grid)
 
 

@@ -52,11 +52,16 @@ def format_digraph(d: MultiDigraph, header=()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def digraph_to_json_obj(d: MultiDigraph) -> dict:
+def arcs_to_json_obj(m: int, arcs) -> dict:
+    """The JSON digraph document of m vertices and 0-based (i, j, k) edges."""
     return {
-        "vertices": d.m,
-        "edges": [[i + 1, j + 1, k] for i, j, k in d.edges()],
+        "vertices": m,
+        "edges": [[i + 1, j + 1, k] for i, j, k in arcs],
     }
+
+
+def digraph_to_json_obj(d: MultiDigraph) -> dict:
+    return arcs_to_json_obj(d.m, d.edges())
 
 
 def digraph_from_json_obj(obj) -> MultiDigraph:

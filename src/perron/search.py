@@ -36,14 +36,15 @@ from .errors import (
 from .families import (
     Shape,
     build_shape_nc,
-    c4_polynomial,
     hironaka_bound,
     lt_polynomial,
+    _ring_polynomial,
+    _ring_sign_at,
     ring_shape,
     ring_shape_with_through,
     two_cycle_polynomial,
 )
-from .io import digraph_to_json_obj
+from .io import arcs_to_json_obj
 from .polynomial import (
     IntPolynomial,
     PalindromeClass,
@@ -70,7 +71,11 @@ FULL_ENUMERATION_MAX_M = 14
 
 @dataclass
 class SurvivorEntry:
-    """A surviving polynomial, the ring shape of a digraph realizing it, and its report fields."""
+    """A surviving polynomial, the ring shape of a digraph realizing it, and its report fields.
+
+    Reports render the digraph from the shape's arcs; no grid is built unless
+    ``representative`` is read.
+    """
 
     polynomial: IntPolynomial
     shape: Shape
@@ -85,7 +90,7 @@ class SurvivorEntry:
         return {
             "polynomial": list(self.polynomial.coeffs),
             "pretty": format_polynomial(self.polynomial),
-            "representative": digraph_to_json_obj(self.representative),
+            "representative": arcs_to_json_obj(self.shape.m, self.shape.arcs()),
             "info": self.info,
         }
 
@@ -119,11 +124,10 @@ class SearchReport:
         for s in self.survivors:
             info = ", ".join(f"{k}={v}" for k, v in s.info.items())
             lines.append(f"  {format_polynomial(s.polynomial)}" + (f"  [{info}]" if info else ""))
-            rep = s.representative
             edges = " ".join(
-                f"{i + 1}->{j + 1}" + (f"x{k}" if k > 1 else "") for i, j, k in rep.edges()
+                f"{i + 1}->{j + 1}" + (f"x{k}" if k > 1 else "") for i, j, k in s.shape.arcs()
             )
-            lines.append(f"    representative: m={rep.m} {edges}")
+            lines.append(f"    representative: m={s.shape.m} {edges}")
         if self.notes:
             lines.append("notes:")
             for n in self.notes:
@@ -541,6 +545,11 @@ def enumerate_digraphs(
     return [reps[k] for k in sorted(reps)]
 
 
+def _check_shape_range(n: int, c: int):
+    if n < 1 or c < n:
+        raise ParameterRangeError("shape-restricted enumeration needs 1 <= n <= c")
+
+
 def _ring_placements(m: int, c: int, n: int, cap: int):
     """The placements of the ring-arrangement sweep, grouped by all but the
     last extra edge.
@@ -554,8 +563,7 @@ def _ring_placements(m: int, c: int, n: int, cap: int):
     itself.  Every placement is strongly connected: the ring's cycles and its
     edge from each cycle to the next already are, and extra edges keep it so.
     """
-    if n < 1 or c < n:
-        raise ParameterRangeError("shape-restricted enumeration needs 1 <= n <= c")
+    _check_shape_range(n, c)
     if m < n:
         return
     extra_edges = c - n
@@ -617,6 +625,7 @@ def count_realizations(p: IntPolynomial, n: int, c: int, cap: int = ENUMERATION_
     m = p.degree
     if not 1 <= m <= FULL_ENUMERATION_MAX_M:
         raise ParameterRangeError(f"count_realizations needs degree 1..{FULL_ENUMERATION_MAX_M}")
+    _check_shape_range(n, c)
     if p.b(1) > 0:
         return 0  # b_1 = -trace(T) <= 0 for every digraph
     forms = set()
@@ -643,8 +652,10 @@ def _decide_candidate(task):
 
     Returns (status, bracket), status survivor/eliminated/inconclusive.  A
     negative sign at the bound's upper end eliminates the candidate before
-    its own certified bracket is computed.  A survivor reports that bracket,
-    or the bound's when the bound polynomial divides it and shares its top root.
+    its own certified bracket is computed (``genus_candidates`` has already
+    dropped such candidates by their ring sign, so its tasks pass this check).
+    A survivor reports that bracket, or the bound's when the bound
+    polynomial divides it and shares its top root.
     """
     poly, bound_lo, bound_hi, bound_poly, tol = task
     if bound_lo is not None and _sign_at(poly.coeffs, *bound_hi.as_integer_ratio()) < 0:
@@ -681,6 +692,10 @@ def genus_candidates(
     palindromic.  For g >= 6 the bound is the certified (g+1, g or g-2)
     family root; g = 5 has no bound in this family, so candidates are listed
     with their roots unfiltered.
+
+    A candidate is held as its ring lengths until its ring sign at the bound's
+    upper end, read from those lengths, is known: the about three in four
+    that it eliminates never get a polynomial or a task.
     """
     if g < 5:
         raise ParameterRangeError("genus_candidates needs g >= 5")
@@ -691,30 +706,35 @@ def genus_candidates(
     window_lo = 2 * g
     bound = hironaka_bound(g, tolf) if g >= 6 else None
 
-    # (poly, info dict, ring shape builder, its arguments); only survivors get
-    # their shape built
+    # (ring lengths, through length, info, ring shape builder and its
+    # arguments); only survivors get their shape built
     candidates = []
     if c_max >= 2:
         for m in range(window_lo, window_hi + 1, 2):
             d = m // 2
             for a in range(1, d):
                 info = {"family": "lt", "d": d, "a": a, "m": m}
-                candidates.append(
-                    (lt_polynomial(d, a), info, ring_shape, ((a, 2 * d - a), (0, d - 2)))
-                )
+                lengths = (a, 2 * d - a)
+                candidates.append((lengths, d, info, ring_shape, (lengths, (0, d - 2))))
     if c_max >= 4:
         for m in range(window_lo, window_hi + 1, 2):
             d = m // 2
             for parts in _partitions_exact(2 * d, 4, 2):
                 info = {"family": "c4", "d": d, "a": list(parts), "m": m}
-                candidates.append(
-                    (c4_polynomial(d, parts), info, ring_shape_with_through, (parts, d))
-                )
+                candidates.append((parts, d, info, ring_shape_with_through, (parts, d)))
 
-    bound_lo = bound.bound.lo if bound is not None else None
-    bound_hi = bound.bound.hi if bound is not None else None
-    bound_poly = lt_polynomial(bound.d, bound.a) if bound is not None else None
-    tasks = [(poly, bound_lo, bound_hi, bound_poly, tolf) for poly, *_ in candidates]
+    eliminated = {"lambda_above_bound": 0}
+    if bound is None:
+        bound_lo = bound_hi = bound_poly = None
+        kept = candidates
+    else:
+        bound_lo, bound_hi = bound.bound.lo, bound.bound.hi
+        bound_poly = lt_polynomial(bound.d, bound.a)
+        num, den = bound_hi.as_integer_ratio()
+        kept = [c for c in candidates if _ring_sign_at(c[0], c[1], num, den) >= 0]
+        eliminated["lambda_above_bound"] = len(candidates) - len(kept)
+    polys = [_ring_polynomial(lengths, t) for lengths, t, *_ in kept]
+    tasks = [(poly, bound_lo, bound_hi, bound_poly, tolf) for poly in polys]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_decide_candidate, tasks, chunksize=32))
@@ -722,9 +742,8 @@ def genus_candidates(
         results = [_decide_candidate(t) for t in tasks]
 
     survivors = []
-    eliminated = {"lambda_above_bound": 0}
     inconclusive = 0
-    for (poly, info, make_shape, args), (status, lam) in zip(candidates, results):
+    for (_, _, info, make_shape, args), poly, (status, lam) in zip(kept, polys, results):
         if status == "survivor":
             entry_info = dict(info)
             entry_info["lambda"] = lam.decimal(5)

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -8,6 +9,8 @@ from perron.digraph import complexity, is_primitive
 from perron.errors import ParameterRangeError
 from perron.families import (
     Shape,
+    _ring_polynomial,
+    _ring_sign_at,
     build_shape_22,
     build_shape_nc,
     c4_polynomial,
@@ -20,11 +23,12 @@ from perron.families import (
 from perron.polynomial import (
     IntPolynomial,
     PalindromeClass,
+    _sign_at,
     classify_palindrome,
     eval_at_one,
     parse_polynomial,
 )
-from perron.search import _partitions_exact
+from perron.search import _partitions_exact, genus_candidates, sweep_ring
 
 
 def test_lt_examples():
@@ -292,3 +296,53 @@ def test_lt_realizations_primitive_iff_coprime():
             dg = build_shape_22(a, 2 * d - a, 1, d - 1)
             assert char_poly_ct(dg) == lt_polynomial(d, a)
             assert is_primitive(dg) == (gcd(a, d) == 1)
+
+
+def test_shape_arcs_match_the_built_grid():
+    def check(shape):
+        # reference: count each cycle arc and each attachment edge directly
+        lengths = shape.cycle_lengths
+        starts = [sum(lengths[:k]) for k in range(len(lengths))]
+        counts = Counter()
+        for s, l in zip(starts, lengths):
+            counts.update((s + o, s + (o + 1) % l) for o in range(l))
+        for sc, so, tc, to in shape.attachments:
+            counts[starts[sc] + so % lengths[sc], starts[tc] + to % lengths[tc]] += 1
+        expected = sorted((i, j, k) for (i, j), k in counts.items())
+        assert shape.arcs() == list(build_shape_nc(shape).edges()) == expected
+
+    swept = 0
+    for n in range(1, 5):
+        for m in range(n, 10):
+            for lengths, exits, _ in sweep_ring(n, m):
+                check(ring_shape(lengths, exits))
+                swept += 1
+    assert swept > 1000
+    for g in range(5, 9):
+        for s in genus_candidates(g, 4).survivors:
+            check(s.shape)
+    # a one-cycle ring whose attachment doubles its closing arc
+    doubled = ring_shape((3,), (2,))
+    check(doubled)
+    assert doubled.arcs() == [(0, 1, 1), (1, 2, 1), (2, 0, 2)]
+
+
+def test_ring_sign_matches_the_built_polynomial():
+    polys = {}
+    for g in range(6, 10):
+        bound = hironaka_bound(g).bound
+        points = [x.as_integer_ratio() for x in (bound.lo, bound.hi)]
+        rings = []
+        for m in range(2 * g, 6 * g - 5, 2):
+            d = m // 2
+            rings.extend(((a, m - a), d) for a in range(1, d))
+            rings.extend((parts, d) for parts in _partitions_exact(m, 4, 2))
+        for lengths, t in rings:
+            if (lengths, t) not in polys:
+                polys[lengths, t] = _ring_polynomial(lengths, t).coeffs
+            for num, den in points:
+                assert _ring_sign_at(lengths, t, num, den) == _sign_at(polys[lengths, t], num, den)
+    # an exact zero: x - 2 at 2
+    assert _ring_polynomial((1,), 1) == IntPolynomial((1, -2))
+    assert _ring_sign_at((1,), 1, 2, 1) == 0
+    assert (_ring_sign_at((1,), 1, 3, 2), _ring_sign_at((1,), 1, 5, 2)) == (-1, 1)

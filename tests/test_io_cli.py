@@ -209,6 +209,16 @@ def test_cli_count():
     assert out == "6\n"
 
 
+def test_cli_count_checks_n_and_c_before_the_trace_shortcut():
+    # x^2 + x has b_1 > 0, so no digraph realizes it, but --n 0 is refused first
+    outcomes = {p: invoke("count", p, "--n", "0", "--c", "0") for p in ("x^2 + x", "x^2 - x")}
+    assert outcomes["x^2 + x"] == outcomes["x^2 - x"] == (
+        1,
+        "",
+        "error: parameter-range: shape-restricted enumeration needs 1 <= n <= c\n",
+    )
+
+
 def test_cli_search():
     code, out, _ = invoke("search", "--genus", "5", "--max-c", "2", "--max-m", "14")
     assert code == 0
@@ -348,6 +358,12 @@ SEARCH_REPORT_DIGESTS = {
         "b5ec20c6f7b593cc6a3ed560fc4f8a0fc7b526807c78523bf0e18015f19f569c"
     ),
     ("--genus", "5", "--max-c", "5"): "d9d7697ec5585d7f07fa9c719725d725f02719060127b3128d50b939d687dc3c",
+    ("--genus", "8", "--max-c", "4", "--format", "json"): (
+        "5417a31bd518191f1a3763e0696063d690fb020784783b7c50ac676074002c39"
+    ),
+    ("--genus", "7", "--max-c", "4", "--jobs", "2"): (
+        "543b17bb694fadf5139fa6100f11df4acfc7233d3ffd9fbe0f89ca0862baf159"
+    ),
 }
 
 

@@ -362,9 +362,18 @@ def test_genus_candidates_jobs_equivalence():
     )
 
 
-def test_genus_candidates_builds_digraphs_only_when_rendered(monkeypatch):
-    """A survivor keeps its ring shape: the search builds no digraph, and each
-    rendering builds one per survivor."""
+def test_genus_candidates_jobs_equivalence_with_c4():
+    a = genus_candidates(7, 4)
+    b = genus_candidates(7, 4, jobs=2)
+    assert json.dumps(a.to_json_obj(), sort_keys=True) == json.dumps(
+        b.to_json_obj(), sort_keys=True
+    )
+    assert any(s.info["family"] == "c4" for s in a.survivors)
+
+
+def test_genus_candidates_builds_digraphs_only_when_read(monkeypatch):
+    """A survivor keeps its ring shape: the search and its renderings build no
+    digraph, and each read of a representative builds one."""
     built = []
     from_grid = MultiDigraph.__dict__["_from_grid"].__func__
 
@@ -376,9 +385,10 @@ def test_genus_candidates_builds_digraphs_only_when_rendered(monkeypatch):
     report = genus_candidates(8, 4)
     assert built == [] and report.survivors
     report.render_text()
-    assert len(built) == len(report.survivors)
-    built.clear()
     report.to_json_obj()
+    assert built == []
+    for s in report.survivors:
+        s.representative
     assert len(built) == len(report.survivors)
 
 
