@@ -8,6 +8,7 @@ multiplicity matrix.  They must agree bit-exactly on the shared domain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import prod
 from operator import add, mul
 
@@ -99,27 +100,35 @@ def _linear_subdigraph_census(
 
 
 def _core_census(rows, cores: dict):
-    """A grid's descending charpoly coefficients, summed over its smoothed core.
+    """``_census_of_core`` on the smoothed core of a multiplicity grid."""
+    return _census_of_core(len(rows), _smooth(rows), cores)
+
+
+def _census_of_core(m: int, core, cores: dict):
+    """The descending charpoly coefficients of a digraph on m vertices, summed
+    over its smoothed core ``(V, arcs, lengths, weights)`` (see ``_smooth``).
 
     Returns ``(b, most)``: b_i sums (-1)^(cycles) times the weight product
     over the core's unions whose arc lengths total i, and ``most`` is the
     largest cycle count of a spanning union (total length m), None if there
     is none.  ``cores`` maps each labelled core ``(V, arcs)`` to the
-    ``(cycles, levels)`` union tree of one unit-weight census walk; a missing
+    ``(paths, levels)`` union tree of one unit-weight census walk (each
+    cycle's arc ids, and the levels of ``_linear_subdigraph_census``); a missing
     core is walked once and added, so a caller that keeps one dict over a
     sweep walks each core once.
     """
-    m = len(rows)
-    V, arcs, lengths, weights = _smooth(rows)
+    V, arcs, lengths, weights = core
     key = (V, tuple(arcs))
     tree = cores.get(key)
     if tree is None:
-        tree = cores[key] = _linear_subdigraph_census(V, arcs, [1] * len(arcs), tree=True)[1:]
-    cycles, levels = tree
-    cycle_len = [sum(map(lengths.__getitem__, path)) for _, _, path, _ in cycles]
+        _, cycles, levels = _linear_subdigraph_census(V, arcs, [1] * len(arcs), tree=True)
+        tree = cores[key] = [path for _, _, path, _ in cycles], levels
+    paths, levels = tree
+    # each cycle's length and weight: the sum and product over its arcs
+    cycle_len = list(map(sum, map(map, repeat(lengths.__getitem__), paths)))
     weighted = weights.count(1) != len(weights)  # most swept digraphs have no multiple edge
     if weighted:
-        cycle_w = [prod(map(weights.__getitem__, path)) for _, _, path, _ in cycles]
+        cycle_w = list(map(prod, map(map, repeat(weights.__getitem__), paths)))
         union_w = [1]
     b = [0] * (m + 1)
     b[0] = 1

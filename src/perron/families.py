@@ -7,8 +7,9 @@ with one connecting edge from each cycle to the next around the ring.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from .digraph import MultiDigraph
 from .errors import ParameterRangeError
@@ -38,24 +39,112 @@ class Shape:
             if not (0 <= sc < n and 0 <= tc < n):
                 raise ParameterRangeError("attachment cycle index out of range")
 
+    @classmethod
+    def _unchecked(cls, cycle_lengths, attachments) -> "Shape":
+        """Wrap arguments that a sweep of this library made valid itself; they
+        are not checked again (see ``MultiDigraph._from_grid``)."""
+        shape = object.__new__(cls)
+        object.__setattr__(shape, "cycle_lengths", cycle_lengths)
+        object.__setattr__(shape, "attachments", attachments)
+        return shape
+
     @property
     def m(self) -> int:
         return sum(self.cycle_lengths)
 
-    def _layout(self) -> tuple[list[int], list[tuple[int, int]]]:
-        """Each vertex's successor on its cycle, and the (u, v) of each
-        attachment edge; the cycles take consecutive vertex blocks in order."""
+    def _attachment_edges(self) -> tuple[list[int], list[tuple[int, int]]]:
+        """Each cycle's first vertex, then the vertex count, and the (u, v) of
+        each attachment edge; the cycles take consecutive vertex blocks in order."""
         lengths = self.cycle_lengths
         starts = list(accumulate(lengths, initial=0))
-        succ = []
-        for s, l in zip(starts, lengths):
-            succ.extend(range(s + 1, s + l))
-            succ.append(s)
         extra = [
             (starts[sc] + so % lengths[sc], starts[tc] + to % lengths[tc])
             for sc, so, tc, to in self.attachments
         ]
+        return starts, extra
+
+    def _layout(self) -> tuple[list[int], list[tuple[int, int]]]:
+        """Each vertex's successor on its cycle, and the (u, v) of each
+        attachment edge (see ``_attachment_edges``)."""
+        starts, extra = self._attachment_edges()
+        succ = []
+        for s, l in zip(starts, self.cycle_lengths):
+            succ.extend(range(s + 1, s + l))
+            succ.append(s)
         return succ, extra
+
+    def _core(self):
+        """``_smooth(build_shape_nc(self).rows)``, with no grid: the same
+        ``(V, arcs, lengths, weights)`` in the same vertex and arc order.
+
+        The core vertices are the attachment endpoints, in vertex order, then
+        one for each cycle with no endpoint, whose arc is a loop of the
+        cycle's length.  Each endpoint's cycle arc runs to the next endpoint on
+        its cycle, its length the offset gap, and takes its place among the
+        endpoint's attachment arcs by the vertex it steps to first.
+        O(c log c) for c attachments.
+        """
+        lengths = self.cycle_lengths
+        starts, extra = self._attachment_edges()
+        out: dict[int, list[int]] = {}  # source -> its attachment targets
+        for u, v in extra:
+            if u in out:
+                out[u].append(v)
+            else:
+                out[u] = [v]
+        order = sorted({*out, *chain.from_iterable(out.values())})
+        V = len(order)
+        order.append(starts[-1])  # past the last cycle
+        arcs = []
+        arc_lengths = []
+        weights = []
+        bare = []  # the lengths of the cycles with no endpoint
+        end = 0  # the end of the current endpoint's cycle
+        k = -1  # that cycle's index
+        for i, (u, w) in enumerate(zip(order, order[1:])):
+            if u >= end:  # the first endpoint on a new cycle
+                last, k = k, bisect_right(starts, u) - 1
+                bare += lengths[last + 1 : k]
+                start, end, length = starts[k], starts[k + 1], lengths[k]
+                first, first_u = i, u
+            if w < end:  # the cycle arc runs to the next endpoint
+                j, gap = i + 1, w - u
+            else:  # or round to the cycle's first
+                j, gap = first, first_u - u + length
+            targets = out.get(u)
+            if targets is None:
+                arcs.append((i, j))
+                arc_lengths.append(gap)
+                weights.append(1)
+                continue
+            step = u + 1 if u + 1 < end else start  # the cycle arc's first step
+            if len(targets) == 1 and targets[0] != step:  # the common row: two single edges
+                if targets[0] < step:
+                    arcs += (i, bisect_left(order, targets[0])), (i, j)
+                    arc_lengths += 1, gap
+                else:
+                    arcs += (i, j), (i, bisect_left(order, targets[0]))
+                    arc_lengths += gap, 1
+                weights += 1, 1
+                continue
+            targets.append(step)
+            targets.sort()
+            seen = -1
+            for v in targets:
+                if v == seen:  # a parallel edge
+                    weights[-1] += 1
+                    continue
+                seen = v
+                arcs.append((i, j) if v == step else (i, bisect_left(order, v)))
+                arc_lengths.append(gap if v == step else 1)
+                weights.append(1)
+        bare += lengths[k + 1 :]
+        for l in bare:
+            arcs.append((V, V))
+            arc_lengths.append(l)
+            weights.append(1)
+            V += 1
+        return V, arcs, arc_lengths, weights
 
     def arcs(self) -> list[tuple[int, int, int]]:
         """The (i, j, k) edges of ``build_shape_nc(self)`` in row-major order,
@@ -170,16 +259,20 @@ def build_shape_nc(shape: Shape) -> MultiDigraph:
     return MultiDigraph._from_grid(grid)
 
 
+def _ring_attachments(exits) -> tuple[tuple[int, int, int, int], ...]:
+    """The attachments of ``ring_shape``, with no argument checks."""
+    n = len(exits)
+    return tuple(zip(range(n), exits, [*range(1, n), 0], [0] * n))
+
+
 def ring_shape(lengths, exits) -> Shape:
     """Ring arrangement: one edge from each cycle k (at offset exits[k]) to
     cycle k+1 mod n (at offset 0)."""
     lengths = tuple(map(int, lengths))
     exits = tuple(map(int, exits))
-    n = len(lengths)
-    if len(exits) != n:
+    if len(exits) != len(lengths):
         raise ParameterRangeError("one exit offset per cycle is required")
-    attachments = tuple([(k, exits[k], (k + 1) % n, 0) for k in range(n)])
-    return Shape(lengths, attachments)
+    return Shape(lengths, _ring_attachments(exits))
 
 
 def ring_shape_with_through(lengths, through: int) -> Shape:

@@ -8,7 +8,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from math import gcd
+from operator import neg
 
 from .errors import ParameterRangeError, ResourceLimitError
 
@@ -32,9 +34,8 @@ class IntPolynomial:
     def __post_init__(self):
         if len(self.coeffs) < 1:
             raise ParameterRangeError("a polynomial needs at least one coefficient")
-        for c in self.coeffs:
-            if not isinstance(c, int):
-                raise ParameterRangeError("coefficients must be exact integers")
+        if not all(map(isinstance, self.coeffs, repeat(int))):
+            raise ParameterRangeError("coefficients must be exact integers")
 
     @classmethod
     def from_terms(cls, degree: int, terms) -> "IntPolynomial":
@@ -98,7 +99,7 @@ def classify_palindrome(p: IntPolynomial) -> PalindromeClass:
     c = p.coeffs
     r = c[::-1]
     palindromic = c == r
-    antipalindromic = all(a == -b for a, b in zip(c, r))
+    antipalindromic = c == tuple(map(neg, r))
     # both at once would force every coefficient to vanish, impossible for monic p
     assert not (palindromic and antipalindromic)
     if palindromic:

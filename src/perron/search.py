@@ -17,13 +17,12 @@ from operator import sub
 
 from .charpoly import (
     char_poly_ct,
-    _core_census,
+    _census_of_core,
     _edge_placement_coeffs,
 )
 from .digraph import (
     MultiDigraph,
     canonical_form,
-    complexity,
     cycle_digraph,
     is_primitive,
 )
@@ -38,6 +37,7 @@ from .families import (
     build_shape_nc,
     hironaka_bound,
     lt_polynomial,
+    _ring_attachments,
     _ring_polynomial,
     _ring_sign_at,
     ring_shape,
@@ -191,12 +191,41 @@ def _partitions_exact(total: int, parts: int, minimum: int):
 # shape placement sweeps
 # ---------------------------------------------------------------------------
 
-def sweep_ring(n: int, m: int):
-    """All ring placements: compositions of m into n lengths times exit
-    offsets.  Every swept digraph is built here."""
+def _ring_shapes(n: int, m: int):
+    """All ring placements in sweep order: compositions of m into n lengths
+    times exit offsets, each as ``(lengths, exits, ring shape)``."""
     for lengths in _compositions(m, n):
-        for exits in itertools.product(*(range(l) for l in lengths)):
-            yield lengths, exits, build_shape_nc(ring_shape(lengths, exits))
+        for exits in itertools.product(*map(range, lengths)):
+            yield lengths, exits, Shape._unchecked(lengths, _ring_attachments(exits))
+
+
+def _chord_shapes(m: int):
+    """All (1,2) placements up to rotation, as ``(case, shape)``: the one-cycle
+    ring with chord s1 -> 0, plus a free edge s2 -> t2.
+
+    case is 'disjoint', 'plain' (the two chord cycles intersect, chords do not
+    interact), or 'crossing' (a cycle through both chords exists).  The chord
+    cycles cover the forward arcs 0..s1 and t2..s2, which are disjoint when
+    s1 < t2 <= s2; a cycle through both chords exists when s2 < t2 <= s1.
+    """
+    for _, (s1,), ring in _ring_shapes(1, m):
+        for s2 in range(m):
+            for t2 in range(m):
+                if s1 < t2 <= s2:
+                    case = "disjoint"
+                elif s2 < t2 <= s1:
+                    case = "crossing"
+                else:
+                    case = "plain"
+                yield case, Shape._unchecked((m,), ring.attachments + ((0, s2, 0, t2),))
+
+
+def sweep_ring(n: int, m: int):
+    """All ring placements in ``_ring_shapes`` order, each built as its dense
+    digraph: ``(lengths, exits, digraph)``.  The verify sweeps read the shapes
+    instead; ``count`` and the (4,5) tabulation need the grids."""
+    for lengths, exits, shape in _ring_shapes(n, m):
+        yield lengths, exits, build_shape_nc(shape)
 
 
 def sweep_shape_11(m: int):
@@ -206,25 +235,10 @@ def sweep_shape_11(m: int):
 
 
 def sweep_shape_12(m: int):
-    """All (1,2) placements up to rotation: first chord into vertex 0.
-
-    Yields (case, digraph) where case is 'disjoint', 'plain' (the two chord
-    cycles intersect, chords do not interact), or 'crossing' (a cycle through
-    both chords exists).  The chord cycles cover the forward arcs 0..s1 and
-    t2..s2, which are disjoint when s1 < t2 <= s2; a cycle through both chords
-    exists when s2 < t2 <= s1.
-    """
-    for a1, d1 in sweep_shape_11(m):
-        s1 = a1 - 1
-        for s2 in range(m):
-            for t2 in range(m):
-                if s1 < t2 <= s2:
-                    case = "disjoint"
-                elif s2 < t2 <= s1:
-                    case = "crossing"
-                else:
-                    case = "plain"
-                yield case, d1.with_edge(s2, t2)
+    """All (1,2) placements in ``_chord_shapes`` order, each built as its
+    digraph: ``(case, digraph)``."""
+    for case, shape in _chord_shapes(m):
+        yield case, build_shape_nc(shape)
 
 
 def sweep_shape_22(m: int):
@@ -237,27 +251,29 @@ def sweep_shape_22(m: int):
 # case-analysis verification sweeps
 # ---------------------------------------------------------------------------
 
-def _census_checks(d: MultiDigraph, cores: dict) -> IntPolynomial:
-    """The characteristic polynomial of a swept digraph, summed over its
-    smoothed core's unions, with the structural coefficient facts every swept
+def _census_checks(shape: Shape, cores: dict) -> IntPolynomial:
+    """The characteristic polynomial of a swept placement's digraph, summed
+    over the unions of its smoothed core, which ``Shape._core`` reads off the
+    shape with no grid, with the structural coefficient facts every swept
     digraph must satisfy.  ``cores`` is the sweep's cache of core unions."""
-    m = d.m
-    b, most = _core_census(d.rows, cores)
+    m = shape.m
+    b, most = _census_of_core(m, shape._core(), cores)
     p = IntPolynomial(tuple(b))
-    if p.b(1) > 0:
+    if b[1] > 0:
         raise CounterexampleError(f"b_1 > 0 on a digraph: {format_polynomial(p)}")
-    if abs(p.b(m)) == 1 and most is None:
+    if abs(b[m]) == 1 and most is None:
         raise CounterexampleError("|b_m| = 1 without a spanning linear subdigraph")
-    if most is not None and most > complexity(d):
+    # the complexity: each attachment is one edge beyond the m cycle edges
+    if most is not None and most > len(shape.attachments):
         raise CounterexampleError("spanning linear subdigraph with more cycles than complexity")
     return p
 
 
-def _check_placement(key: str, m: int, dg: MultiDigraph, cores: dict, p1_counts: dict, p1=-1):
+def _check_placement(key: str, m: int, shape: Shape, cores: dict, p1_counts: dict, p1=-1):
     """Check one placement whose polynomial is neither palindromic nor
     antipalindromic: the census checks, then p(1) (tallied in ``p1_counts``)
     must be ``p1`` and the class must be neither."""
-    p = _census_checks(dg, cores)
+    p = _census_checks(shape, cores)
     value = eval_at_one(p)
     p1_counts[value] = p1_counts.get(value, 0) + 1
     if value != p1:
@@ -299,18 +315,19 @@ def verify_case_c_le_2(m_max: int) -> SearchReport:
 
     for m in range(1, m_max + 1):
         chords = itertools.chain(
-            (("(1,1)", dg) for _, dg in sweep_shape_11(m)),
-            ((f"(1,2) {case}", dg) for case, dg in sweep_shape_12(m)),
+            (("(1,1)", ring) for _, _, ring in _ring_shapes(1, m)),
+            ((f"(1,2) {case}", shape) for case, shape in _chord_shapes(m)),
         )
-        for key, dg in chords:
+        for key, shape in chords:
             total += 1
-            _check_placement(key, m, dg, cores, p1_distribution, expected_p1[key])
+            _check_placement(key, m, shape, cores, p1_distribution, expected_p1[key])
             eliminated["neither_class"] += 1
 
-        for a1, a2, pp, qq, dg in sweep_shape_22(m):
+        for (a1, a2), (e1, e2), ring in _ring_shapes(2, m):
             total += 1
+            pp, qq = e1 + 1, e2 + 1
             shape = f"({a1},{a2},{pp},{qq})"
-            p = _census_checks(dg, cores)
+            p = _census_checks(ring, cores)
             if p != two_cycle_polynomial(a1, a2, pp + qq):
                 raise CounterexampleError(f"(2,2) shape {shape} violates the two-cycle formula")
             cls = classify_palindrome(p)
@@ -325,10 +342,9 @@ def verify_case_c_le_2(m_max: int) -> SearchReport:
                 continue
             rec = palindromic.get(p.coeffs)
             if rec is None:
-                ring = ring_shape((a1, a2), (pp - 1, qq - 1))
                 rec = palindromic[p.coeffs] = {"count": 0, "ring": ring, "primitive": False}
             rec["count"] += 1
-            if not rec["primitive"] and is_primitive(dg):
+            if not rec["primitive"] and is_primitive(build_shape_nc(ring)):
                 rec["primitive"] = True
 
     # completeness: every LT expression with 2d <= m_max, and only those, survived
@@ -404,10 +420,11 @@ def verify_case_odd_diagonal(k: int, m_max: int) -> SearchReport:
     p1_distribution: dict[int, int] = {}
     cores: dict = {}  # the sweep's core unions, walked once per labelled core
 
+    key = f"({n},{n}) ring"
     for m in range(n, m_max + 1):
-        for _, _, dg in sweep_ring(n, m):
+        for _, _, ring in _ring_shapes(n, m):
             total += 1
-            _check_placement(f"({n},{n}) ring", m, dg, cores, p1_distribution)
+            _check_placement(key, m, ring, cores, p1_distribution)
 
     report = SearchReport(
         parameters={"op": "verify_odd_diagonal", "k": k, "n": n, "c": n, "m_max": m_max},

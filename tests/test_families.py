@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from perron.charpoly import _core_census, char_poly_ct, char_poly_oracle
-from perron.digraph import complexity, is_primitive
+from perron.digraph import _smooth, complexity, is_primitive
 from perron.errors import ParameterRangeError
 from perron.families import (
     Shape,
@@ -28,7 +28,15 @@ from perron.polynomial import (
     eval_at_one,
     parse_polynomial,
 )
-from perron.search import _partitions_exact, genus_candidates, sweep_ring
+from perron.search import (
+    _chord_shapes,
+    _partitions_exact,
+    _ring_shapes,
+    genus_candidates,
+    sweep_ring,
+    sweep_shape_11,
+    sweep_shape_12,
+)
 
 
 def test_lt_examples():
@@ -325,6 +333,52 @@ def test_shape_arcs_match_the_built_grid():
     doubled = ring_shape((3,), (2,))
     check(doubled)
     assert doubled.arcs() == [(0, 1, 1), (1, 2, 1), (2, 0, 2)]
+
+
+def test_shape_core_matches_the_smoothed_grid(rng):
+    """The sparse smoother gives what smoothing the built grid gives: the same
+    core vertices, arcs, arc lengths and weights, in the same order."""
+    seen = Counter()
+
+    def check(shape, dg=None):
+        dg = build_shape_nc(shape) if dg is None else dg
+        assert shape._core() == _smooth(dg.rows), shape
+        seen["checked"] += 1
+
+    for n in range(1, 6):
+        for m in range(n, 11):
+            for (lengths, exits, shape), (*head, dg) in zip(_ring_shapes(n, m), sweep_ring(n, m)):
+                assert head == [lengths, exits]
+                check(shape, dg)
+    for m in range(1, 10):
+        for (_, _, shape), (_, dg) in zip(_ring_shapes(1, m), sweep_shape_11(m)):
+            check(shape, dg)
+        for (case, shape), (same, dg) in zip(_chord_shapes(m), sweep_shape_12(m)):
+            assert case == same
+            check(shape, dg)
+    assert seen["checked"] == 10_342
+
+    for _ in range(5000):
+        n = rng.randint(1, 5)
+        lengths = tuple(rng.choice((1, 1, 2, 3, 4, 5)) for _ in range(n))
+        attachments = []
+        for _ in range(rng.randint(0, 6)):
+            roll = rng.random()
+            if attachments and roll < 0.15:
+                attachments.append(rng.choice(attachments))
+                seen["repeated attachment"] += 1
+                continue
+            sc, tc = rng.randrange(n), rng.randrange(n)
+            so, to = rng.randrange(-2, lengths[sc] + 3), rng.randrange(-2, lengths[tc] + 3)
+            if roll < 0.3:
+                tc, to = sc, so + 1
+                seen["doubled cycle arc"] += 1
+            attachments.append((sc, so, tc, to))
+        shape = Shape(lengths, tuple(attachments))
+        seen["bare cycle"] += len({a[0] for a in attachments} | {a[2] for a in attachments}) < n
+        seen["loop"] += 1 in lengths
+        check(shape)
+    assert min(seen.values()) > 500, seen
 
 
 def test_ring_sign_matches_the_built_polynomial():

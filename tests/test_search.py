@@ -392,6 +392,34 @@ def test_genus_candidates_builds_digraphs_only_when_read(monkeypatch):
     assert len(built) == len(report.survivors)
 
 
+def test_verify_sweeps_build_grids_only_for_primitivity_checks(monkeypatch):
+    """The verify sweeps smooth each placement from its shape: the odd rings
+    build no grid, and the c2 sweep builds one only for each primitivity check
+    of a palindromic (2,2) class."""
+    built = []
+    from_grid = MultiDigraph.__dict__["_from_grid"].__func__
+
+    def counting(cls, grid):
+        built.append(len(grid))
+        return from_grid(cls, grid)
+
+    checks = 0
+    primitive = perron.search.is_primitive
+
+    def counting_primitive(d):
+        nonlocal checks
+        checks += 1
+        return primitive(d)
+
+    monkeypatch.setattr(MultiDigraph, "_from_grid", classmethod(counting))
+    monkeypatch.setattr(perron.search, "is_primitive", counting_primitive)
+    assert verify_case_odd_diagonal(2, 9).total > 0
+    assert built == [] and checks == 0
+    report = verify_case_c_le_2(8)
+    assert 0 < checks < report.total
+    assert len(built) <= checks
+
+
 def test_genus_candidates_range_errors():
     with pytest.raises(ParameterRangeError):
         genus_candidates(4, 2)
@@ -608,6 +636,14 @@ VERIFY_REPORT_DIGESTS = {
     ("odd", 2, 11): (
         "bf0d1cc8be3d1d2f72032d565a68c35a9bffc02240c1f7095f1b6e8884f998ef",
         "70c9e633c8e70056da5bad62f8e0f7e8eca81d2fb666f35f22c50ae92ff5f152",
+    ),
+    ("c2", 14): (
+        "ec2c70208c025dff367cd4287861dce2a4014e95d94ada65e32fc3f637e48f4b",
+        "24a6a68a9e994cfb9a67cbc1afa31c3cf200bcc51038dc2c27cfa9fe8c2dcb31",
+    ),
+    ("odd", 2, 12): (
+        "08616a486487d542d832f83b4e86feaec7ac64f6574123418bc2e3ae1620048b",
+        "fc6abbadff55ec38cca89c1e8894afec88b5028eead175858d3dcaaf9e4911ac",
     ),
 }
 
