@@ -176,8 +176,10 @@ def cycle_length_gcd(d: MultiDigraph) -> int:
     """
     if not is_strongly_connected(d):
         raise ParameterRangeError("cycle_length_gcd requires a strongly connected digraph")
-    m = d.m
-    rows = d.rows
+    return _bfs_cycle_gcd(d.rows, d.m)
+
+
+def _bfs_cycle_gcd(rows, m) -> int:
     level = [-1] * m
     level[0] = 0
     queue = [0]
@@ -200,7 +202,7 @@ def cycle_length_gcd(d: MultiDigraph) -> int:
 
 def is_primitive(d: MultiDigraph) -> bool:
     """True iff d is strongly connected and its cycle-length gcd is 1."""
-    return is_strongly_connected(d) and cycle_length_gcd(d) == 1
+    return is_strongly_connected(d) and _bfs_cycle_gcd(d.rows, d.m) == 1
 
 
 def is_primitive_power(d: MultiDigraph) -> bool:

@@ -49,7 +49,6 @@ from .polynomial import (
     IntPolynomial,
     PalindromeClass,
     _pdivmod,
-    _sign_at,
     classify_palindrome,
     eval_at_one,
     format_polynomial,
@@ -63,6 +62,8 @@ from .spectral import (
 
 ENUMERATION_CAP_DEFAULT = 1_000_000
 FULL_ENUMERATION_MAX_M = 14
+# the genus search tabulates the (4,5) ring-plus-one-edge placements up to this m
+_RING_PLUS_ONE_M_MAX = 10
 
 
 # ---------------------------------------------------------------------------
@@ -667,16 +668,14 @@ def count_realizations(p: IntPolynomial, n: int, c: int, cap: int = ENUMERATION_
 def _decide_candidate(task):
     """Compare one candidate polynomial against the genus bound bracket.
 
-    Returns (status, bracket), status survivor/eliminated/inconclusive.  A
-    negative sign at the bound's upper end eliminates the candidate before
-    its own certified bracket is computed (``genus_candidates`` has already
-    dropped such candidates by their ring sign, so its tasks pass this check).
-    A survivor reports that bracket, or the bound's when the bound
-    polynomial divides it and shares its top root.
+    Returns (status, bracket), status survivor/eliminated/inconclusive.  Its
+    tasks come from ``genus_candidates``, which has already eliminated every
+    candidate whose ring sign at the bound's upper end is negative; the
+    candidate's own certified bracket and Sturm counts decide the rest.  A
+    survivor reports that bracket, or the bound's when the bound polynomial
+    divides it and shares its top root.
     """
     poly, bound_lo, bound_hi, bound_poly, tol = task
-    if bound_lo is not None and _sign_at(poly.coeffs, *bound_hi.as_integer_ratio()) < 0:
-        return "eliminated", None
     lam = largest_real_root(poly, tol)
     if bound_lo is None or lam.hi <= bound_lo:
         return "survivor", lam
@@ -698,7 +697,6 @@ def genus_candidates(
     m_max: int | None = None,
     tol=Fraction(1, 10**7),
     jobs: int = 1,
-    ring_plus_one_max: int = 10,
 ) -> SearchReport:
     """Palindromic candidate polynomials from the ring shape classes with
     n <= c <= c_max, dimension window [2g, min(m_max, 6g-6)], kept when their
@@ -786,7 +784,7 @@ def genus_candidates(
         "(see verify_case_odd_diagonal)"
     )
     if c_max >= 5:
-        notes.extend(_ring_plus_one_tabulation(window_lo, min(window_hi, ring_plus_one_max)))
+        notes.extend(_ring_plus_one_tabulation(window_lo, min(window_hi, _RING_PLUS_ONE_M_MAX)))
 
     report = SearchReport(
         parameters={

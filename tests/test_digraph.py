@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import perron.digraph
 from perron.digraph import (
     MultiDigraph,
     canonical_form,
@@ -67,6 +68,21 @@ def test_primitivity_figure1_shape():
     assert cycle_length_gcd(d) == 1
     assert is_primitive(d)
     assert is_primitive_power(d)
+
+
+def test_primitivity_checks_strong_connectivity_once(monkeypatch):
+    """One reachability scan each way, not a second pair inside the gcd."""
+    scans = 0
+    reachable = perron.digraph._reachable
+
+    def counting(*args):
+        nonlocal scans
+        scans += 1
+        return reachable(*args)
+
+    monkeypatch.setattr(perron.digraph, "_reachable", counting)
+    assert is_primitive(figure1())
+    assert scans == 2
 
 
 def test_cycle_gcd_matches_cycle_lengths():

@@ -22,7 +22,7 @@ from perron.digraph import (
 from perron.errors import CounterexampleError, ParameterRangeError, ResourceLimitError
 from perron.families import build_shape_22, c4_polynomial, hironaka_bound, lt_polynomial
 from perron.fixtures import figure4
-from perron.polynomial import IntPolynomial, _pdivmod, format_polynomial, parse_polynomial
+from perron.polynomial import IntPolynomial, _pdivmod, _sign_at, format_polynomial, parse_polynomial
 from perron.search import (
     ENUMERATION_CAP_DEFAULT,
     FIGURE4_POLYNOMIAL,
@@ -347,7 +347,7 @@ def test_genus_candidates_g5_window_extension():
 
 
 def test_genus_candidates_survivor_families():
-    report = genus_candidates(11, 5, m_max=26, ring_plus_one_max=0)
+    report = genus_candidates(11, 5, m_max=26)
     for s in report.survivors:
         assert s.info["family"] in ("lt", "c4")
         if s.representative is not None:
@@ -442,10 +442,43 @@ def test_decide_reads_no_trace_for_candidates_the_bound_sign_eliminates():
     task = lambda p: (p, bound.bound.lo, bound.bound.hi, lt_polynomial(bound.d, bound.a), tol)
     above = lt_polynomial(6, 1)  # root 1.29..., far above the bound
     assert _decide_candidate(task(above))[0] == "eliminated"
-    assert "_trace" not in vars(above)
     below = lt_polynomial(15, 14)
     assert _decide_candidate(task(below))[0] == "survivor"
     assert vars(below)["_trace"] is not None
+
+
+@pytest.mark.parametrize("g, kept, total", [(6, 182, 620), (8, 474, 2383)])
+def test_genus_search_eliminates_by_ring_sign_before_building(monkeypatch, g, kept, total):
+    """The ring sign at the bound's upper end is the search's one elimination
+    there: only the candidates it keeps get a polynomial and a task, and every
+    task's polynomial is non-negative at that end."""
+    signs, built, tasks = [], [], []
+    ring_sign_at = perron.search._ring_sign_at
+    ring_polynomial = perron.search._ring_polynomial
+    decide = perron.search._decide_candidate
+
+    def counting_sign(*args):
+        signs.append(ring_sign_at(*args))
+        return signs[-1]
+
+    def counting_polynomial(*args):
+        built.append(args)
+        return ring_polynomial(*args)
+
+    def counting_decide(task):
+        tasks.append(task)
+        return decide(task)
+
+    monkeypatch.setattr(perron.search, "_ring_sign_at", counting_sign)
+    monkeypatch.setattr(perron.search, "_ring_polynomial", counting_polynomial)
+    monkeypatch.setattr(perron.search, "_decide_candidate", counting_decide)
+    report = genus_candidates(g, 4)
+    assert report.total == len(signs) == total
+    assert len(built) == len(tasks) == sum(s >= 0 for s in signs) == kept
+    bound_hi = hironaka_bound(g, Fraction(1, 10**7)).bound.hi
+    for poly, _, hi, _, _ in tasks:
+        assert hi == bound_hi
+        assert _sign_at(poly.coeffs, *hi.as_integer_ratio()) >= 0
 
 
 def _bound_task(g, tol=Fraction(1, 10**7)):
