@@ -14,7 +14,7 @@ from itertools import accumulate, chain
 from .digraph import MultiDigraph
 from .errors import ParameterRangeError
 from .polynomial import IntPolynomial
-from .spectral import DEFAULT_TOL, RootResult, largest_real_root
+from .spectral import DEFAULT_TOL, RootResult, _cell_bracket, _positive_tol, largest_real_root
 
 
 @dataclass(frozen=True)
@@ -198,6 +198,35 @@ def _ring_sign_at(lengths, through: int, num: int, den: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
+def _ring_root(lengths, through: int, poly: IntPolynomial, tol) -> RootResult:
+    """``largest_real_root(poly, tol)`` for poly = ``_ring_polynomial(lengths,
+    through)`` with 1 <= through <= m, from ring signs alone.
+
+    For x > 1, poly(x) / x^m = prod_k (1 - x^{-l_k}) - x^{-through}: every
+    factor is positive and increasing, and so is -x^{-through}, so it rises
+    strictly from -1 at x = 1 towards 1.  Hence poly(1) = -1, and poly has
+    exactly one root above 1, a simple one, and exactly one root above any
+    x >= 1 where its sign is negative and none where it is not.  That answers
+    every count the named cell asks for, so ``_cell_bracket`` reads only the
+    signs of ``_ring_sign_at`` and needs no trace polynomial and no Descartes
+    count.  When no cell can be named, the general route gives the bracket.
+    """
+    cell = _cell_bracket(
+        poly,
+        _positive_tol(tol),
+        lambda num, den: _ring_sign_at(lengths, through, num, den),
+        lambda x, count: True,  # by the lemma, every count it is asked for holds
+    )
+    return cell if cell is not None else largest_real_root(poly, tol)
+
+
+def _ring_roots_above(lengths, through: int, x) -> int:
+    """``count_roots_above(_ring_polynomial(lengths, through), x)`` for a
+    rational x >= 1, by the one-root lemma of ``_ring_root``: 1 when the ring
+    sign at x is negative, else 0."""
+    return int(_ring_sign_at(lengths, through, *x.as_integer_ratio()) < 0)
+
+
 def two_cycle_polynomial(a1: int, a2: int, a3: int) -> IntPolynomial:
     """x^m - x^{m-a1} - x^{a1} - x^{m-a3} + 1 with m = a1 + a2, colliding
     exponents summed: the characteristic polynomial of two cycles of lengths
@@ -312,4 +341,4 @@ def hironaka_bound(g: int, tol=DEFAULT_TOL) -> GenusBound:
         )
     d = g + 1
     a = g - 2 if g % 3 == 0 else g
-    return GenusBound(g, d, a, largest_real_root(lt_polynomial(d, a), tol))
+    return GenusBound(g, d, a, _ring_root((a, 2 * d - a), d, lt_polynomial(d, a), tol))

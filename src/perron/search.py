@@ -39,6 +39,8 @@ from .families import (
     lt_polynomial,
     _ring_attachments,
     _ring_polynomial,
+    _ring_root,
+    _ring_roots_above,
     _ring_sign_at,
     ring_shape,
     ring_shape_with_through,
@@ -54,11 +56,7 @@ from .polynomial import (
     format_polynomial,
     to_fraction,
 )
-from .spectral import (
-    RootResult,
-    count_roots_above,
-    largest_real_root,
-)
+from .spectral import RootResult
 
 ENUMERATION_CAP_DEFAULT = 1_000_000
 FULL_ENUMERATION_MAX_M = 14
@@ -666,27 +664,28 @@ def count_realizations(p: IntPolynomial, n: int, c: int, cap: int = ENUMERATION_
 # ---------------------------------------------------------------------------
 
 def _decide_candidate(task):
-    """Compare one candidate polynomial against the genus bound bracket.
+    """Compare one ring candidate against the genus bound bracket.
 
     Returns (status, bracket), status survivor/eliminated/inconclusive.  Its
     tasks come from ``genus_candidates``, which has already eliminated every
-    candidate whose ring sign at the bound's upper end is negative; the
-    candidate's own certified bracket and Sturm counts decide the rest.  A
-    survivor reports that bracket, or the bound's when the bound polynomial
-    divides it and shares its top root.
+    candidate whose ring sign at the bound's upper end is negative.  The
+    candidate's bracket comes from ``_ring_root`` and its root counts from
+    ring signs: a ring polynomial has exactly one root above 1, so it has one
+    root above x >= 1 when its sign at x is negative and none otherwise.  A
+    survivor reports its own bracket, or the bound's when the bound polynomial
+    divides it and so shares its one root above 1.
     """
-    poly, bound_lo, bound_hi, bound_poly, tol = task
-    lam = largest_real_root(poly, tol)
+    lengths, through, poly, bound_lo, bound_hi, bound_poly, tol = task
+    lam = _ring_root(lengths, through, poly, tol)
     if bound_lo is None or lam.hi <= bound_lo:
         return "survivor", lam
-    above_lo = count_roots_above(poly, bound_lo)
-    if above_lo == 0:
+    if _ring_roots_above(lengths, through, bound_lo) == 0:
         return "survivor", lam
-    if count_roots_above(poly, bound_hi) >= 1:
+    if _ring_roots_above(lengths, through, bound_hi) == 1:
         return "eliminated", None
-    # the one root above bound_lo lies in the bound bracket and is the bound's root when
-    # the bound polynomial divides the candidate; its own grid could round differently
-    if above_lo == 1 and not any(_pdivmod(poly.coeffs, bound_poly.coeffs)[1]):
+    # the one root lies in the bound bracket and is the bound's root when the
+    # bound polynomial divides the candidate; its own grid could round differently
+    if not any(_pdivmod(poly.coeffs, bound_poly.coeffs)[1]):
         return "survivor", RootResult(bound_lo, bound_hi)
     return "inconclusive", None
 
@@ -749,7 +748,10 @@ def genus_candidates(
         kept = [c for c in candidates if _ring_sign_at(c[0], c[1], num, den) >= 0]
         eliminated["lambda_above_bound"] = len(candidates) - len(kept)
     polys = [_ring_polynomial(lengths, t) for lengths, t, *_ in kept]
-    tasks = [(poly, bound_lo, bound_hi, bound_poly, tolf) for poly in polys]
+    tasks = [
+        (lengths, t, poly, bound_lo, bound_hi, bound_poly, tolf)
+        for (lengths, t, *_), poly in zip(kept, polys)
+    ]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_decide_candidate, tasks, chunksize=32))

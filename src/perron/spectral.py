@@ -3,8 +3,11 @@ the complexity bound check, and spectral monotonicity witnesses.
 
 Every polynomial sign here is an exact integer computation at a rational
 point.  Floating point appears only where nothing rests on it: in the estimate
-from which ``_named_cell`` names a bracket that exact signs and a Descartes
-count then certify, and when a bracket is rendered as a decimal string.
+from which ``_cell_bracket`` names a bracket that exact signs and a certificate
+then confirm, and when a bracket is rendered as a decimal string.  The
+certificate is a Descartes count on the general route (``_named_cell``); a
+ring polynomial needs none, since it has exactly one root above 1
+(``families._ring_root``).
 
 A palindromic p of even degree 2d is p(x) = x^d q(x + 1/x) with q the integer
 trace polynomial of degree d (``IntPolynomial._trace``).  For x > 0 the sign
@@ -86,10 +89,11 @@ class RootResult:
             raise ResourceLimitError(
                 f"{digits} digits exceed the cap of {_MAX_DIGITS}", estimate=digits
             )
-        scaled = self.midpoint * 10**digits
-        n = scaled.numerator // scaled.denominator
-        if 2 * (scaled - n) >= 1:
-            n += 1
+        # the midpoint is num / (2 den), and n = floor(midpoint * 10^digits + 1/2)
+        a, b = self.lo.as_integer_ratio()
+        c, d = self.hi.as_integer_ratio()
+        num, den = a * d + c * b, b * d
+        n = (num * 10**digits + den) // (2 * den)
         sign = "-" if n < 0 else ""
         n = abs(n)
         return f"{sign}{n // 10**digits}.{n % 10**digits:0{digits}d}"
@@ -205,26 +209,46 @@ def largest_real_root(p: IntPolynomial, tol=DEFAULT_TOL) -> RootResult:
 
 
 def _named_cell(p: IntPolynomial, tolf: Fraction) -> RootResult | None:
-    """The bracket of ``_sturm_bracket`` for a monic p with p(1) < 0, named from
-    a float estimate of its largest root r and certified exactly; None when a
-    check fails.
+    """The bracket of ``_sturm_bracket`` for a monic p with p(1) < 0, or None
+    when a check fails: ``_cell_bracket`` over the exact signs that ``_view``
+    reads, certified by Descartes counts, which are exact when they return 0
+    or 1."""
+    if eval_at_one(p) >= 0:
+        return None
+    return _cell_bracket(
+        p, tolf, _sign_of(*_view(p)), lambda x, count: descartes_roots_above(p, x) == count
+    )
+
+
+def _sign_of(cs, point):
+    """The exact sign of cs at point(num, den), as a function of num and den."""
+    return lambda num, den: _sign_at(cs, *point(num, den))
+
+
+def _cell_bracket(p: IntPolynomial, tolf: Fraction, sign, certified) -> RootResult | None:
+    """The bracket of ``_sturm_bracket`` for a monic p with p(1) < 0, named
+    from a float estimate of its largest root r; None when no cell can be
+    named or the certificate declines.
+
+    ``sign(num, den)`` is the exact sign of p at num/den >= 1.
+    ``certified(x, count)`` may hold only when p has exactly ``count`` roots
+    above x, counted with multiplicity; it is asked with count 0 at a grid
+    point where p is 0, and with count 1 at a point x >= 1 at or below a cell
+    whose ends have signs -1 and +1.
 
     The Sturm route ends on the level-K cell of the dyadic grid of [1, U] that
     holds r, where K is the first level whose cells are no wider than tolf,
     unless a midpoint on its way is r itself.  The float estimate names a
-    level-K cell, or one of its two neighbours.  Exact signs -1 and +1 at the
-    cell's ends put a root inside it, and a Descartes count of 1 above the
-    level-10 grid point at or below it, or else above the cell's lower end,
-    makes that root the only one above the point: simple, the largest, and not
-    a grid point of level <= K.  So the Sturm route isolates r by level K and
-    bisects to this cell.  When an end of the cell is a root and the Descartes
-    count above it is 0, it is r and a midpoint on that way.  Floats do not
-    resolve cells narrower than about r * 2^-42; below that the deepest cell
-    they resolve is named and certified the same way, and sign bisection,
-    which follows r inside it, finishes.
+    level-K cell, or one of its two neighbours.  Signs -1 and +1 at the cell's
+    ends put a root inside it.  When exactly one root lies above the level-10
+    grid point at or below the cell, or else above the cell's lower end, that
+    root is simple, the largest, and not a grid point of level <= K, so the
+    Sturm route isolates r by level K and bisects to this cell.  A cell end
+    that is a root with no root above it is r and a midpoint on that way.
+    Floats do not resolve cells narrower than about r * 2^-42; below that the
+    deepest cell they resolve is named and certified the same way, and sign
+    bisection, which follows r inside it, finishes.
     """
-    if eval_at_one(p) >= 0:
-        return None
     U = _cauchy_bound(p)
     n = U - 1  # the cell width at level k is n / 2^k
     tn, td = tolf.as_integer_ratio()
@@ -239,37 +263,34 @@ def _named_cell(p: IntPolynomial, tolf: Fraction) -> RootResult | None:
     except (OverflowError, ZeroDivisionError):
         return None
 
-    cs, point = _view(p)
     den = 1 << k
     j = min(max(j, 0), den - 1)
 
-    def sign(i):  # of p at the level-k grid point i
-        return _sign_at(cs, *point(den + i * n, den))
+    def grid_sign(i):  # of p at the level-k grid point i
+        return sign(den + i * n, den)
 
     # p < 0 at 1 and > 0 at U, so the neighbour on the side of the sign change exists
-    s, t = sign(j), sign(j + 1)
+    s, t = grid_sign(j), grid_sign(j + 1)
     if s > 0:
         j -= 1
-        s, t = sign(j), s
+        s, t = grid_sign(j), s
     elif s < 0 and t < 0:
         j += 1
-        s, t = t, sign(j + 1)
+        s, t = t, grid_sign(j + 1)
     if s == 0 or t == 0:  # a grid point is a root: the top one when none lies above
         x = Fraction(den + (j + (s != 0)) * n, den)
-        return RootResult(x, x, 0, 0) if descartes_roots_above(p, x) == 0 else None
+        return RootResult(x, x, 0, 0) if certified(x, 0) else None
     if s > 0 or t < 0:
         return None
     a, b = den + j * n, den + (j + 1) * n
     coarse = min(_COARSE_LEVEL, k)
     below = Fraction((1 << coarse) + (j >> (k - coarse)) * n, 1 << coarse)
     lo = Fraction(a, den)
-    if descartes_roots_above(p, below) != 1 and (
-        below == lo or descartes_roots_above(p, lo) != 1
-    ):
+    if not (certified(below, 1) or below != lo and certified(lo, 1)):
         return None
 
     if k < last:
-        a, b, k = _sign_bisection(cs, a, b, k, tolf, point)
+        a, b, k = _sign_bisection(sign, a, b, k, tolf)
         if a == b:
             x = Fraction(a, 1 << k)
             return RootResult(x, x, 0, 0)
@@ -375,15 +396,24 @@ def _sturm_bracket(p: IntPolynomial, tolf: Fraction) -> RootResult:
     )
 
 
-def _sign_bisection(cs, a: int, b: int, k: int, tolf: Fraction, point) -> tuple[int, int, int]:
-    """Halve [a/2^k, b/2^k] around the one sign change of cs at point(x) inside
-    it, from negative to positive, until the width is <= tolf; returns
-    (a, b, k), with a == b when a midpoint is the root."""
+def _sign_bisection(
+    sign, a: int, b: int, k: int, tolf: Fraction, point=None
+) -> tuple[int, int, int]:
+    """Halve [a/2^k, b/2^k] around the one sign change inside it, from
+    negative to positive, until the width is <= tolf; returns (a, b, k), with
+    a == b when a midpoint is the root.
+
+    ``sign(num, den)`` is the exact sign at num/den; given a ``point`` map,
+    ``sign`` is instead a coefficient list read at point(num, den), the pair
+    that ``_view`` returns.
+    """
+    if point is not None:
+        sign = _sign_of(sign, point)
     tn, td = tolf.as_integer_ratio()
     while (b - a) * td > tn << k:
         mid = a + b
         a, b, k = 2 * a, 2 * b, k + 1
-        s = _sign_at(cs, *point(mid, 1 << k))
+        s = sign(mid, 1 << k)
         if s == 0:
             return mid, mid, k
         if s < 0:

@@ -1,15 +1,20 @@
+import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, nan
 
 import pytest
 
+import perron.families
+import perron.spectral
 from perron.charpoly import _core_census, char_poly_ct, char_poly_oracle
 from perron.digraph import _smooth, complexity, is_primitive
 from perron.errors import ParameterRangeError
 from perron.families import (
     Shape,
     _ring_polynomial,
+    _ring_root,
+    _ring_roots_above,
     _ring_sign_at,
     build_shape_22,
     build_shape_nc,
@@ -28,6 +33,7 @@ from perron.polynomial import (
     eval_at_one,
     parse_polynomial,
 )
+from perron.spectral import count_roots_above, largest_real_root
 from perron.search import (
     _chord_shapes,
     _partitions_exact,
@@ -400,3 +406,87 @@ def test_ring_sign_matches_the_built_polynomial():
     assert _ring_polynomial((1,), 1) == IntPolynomial((1, -2))
     assert _ring_sign_at((1,), 1, 2, 1) == 0
     assert (_ring_sign_at((1,), 1, 3, 2), _ring_sign_at((1,), 1, 5, 2)) == (-1, 1)
+
+
+def _genus_rings(g_max):
+    """The distinct (lengths, through) rings of the LT and c4 candidates of
+    genus 5..g_max."""
+    rings = {}
+    for m in range(10, 6 * g_max - 5, 2):
+        d = m // 2
+        rings.update(dict.fromkeys(((a, m - a), d) for a in range(1, d)))
+        rings.update(dict.fromkeys((parts, d) for parts in _partitions_exact(m, 4, 2)))
+    return list(rings)
+
+
+def _fallbacks(monkeypatch):
+    """Record every call ``_ring_root`` makes to the general route."""
+    calls = []
+    original = perron.families.largest_real_root
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(perron.families, "largest_real_root", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "tol, g_max",
+    [(Fraction(1, 2**20), 8)]
+    + [(Fraction(x), 8) for x in ("3e-3", "1e-7", "1e-10", "1e-13")]
+    + [(Fraction(1, 10**30), 6)],
+)
+def test_ring_root_equals_the_general_route_on_the_genus_candidates(monkeypatch, tol, g_max):
+    rings = _genus_rings(g_max)
+    assert len(rings) == {6: 626, 8: 2414}[g_max]
+    polys = [_ring_polynomial(*ring) for ring in rings]
+    expected = [largest_real_root(p, tol) for p in polys]
+    fallbacks = _fallbacks(monkeypatch)
+    # lo, hi and both signs
+    assert [_ring_root(*ring, p, tol) for ring, p in zip(rings, polys)] == expected
+    assert fallbacks == []
+
+
+def test_ring_root_on_random_rings(monkeypatch):
+    """The one-root lemma on seeded random rings: p(1) = -1, exactly one root
+    above 1 by Sturm, a ring-sign count equal to Sturm's, and the bracket of
+    the general route."""
+    rng = random.Random(19)
+    tol = Fraction(1, 10**7)
+    fallbacks = _fallbacks(monkeypatch)
+    for i in range(1500):
+        lengths = tuple(rng.randint(1, 12) for _ in range(rng.randint(1, 5)))
+        t = rng.randint(1, sum(lengths))
+        p = _ring_polynomial(lengths, t)
+        assert eval_at_one(p) == -1
+        assert count_roots_above(p, Fraction(1)) == 1
+        r = _ring_root(lengths, t, p, tol)
+        assert r == largest_real_root(p, tol), (lengths, t)
+        if i < 200:
+            for x in (Fraction(1), r.lo, r.hi, r.hi + 1):
+                assert _ring_roots_above(lengths, t, x) == count_roots_above(p, x), (lengths, t, x)
+    assert fallbacks == []
+
+
+@pytest.mark.parametrize("estimate", ["nan", "1", "2U", "r * 1.01"])
+def test_ring_root_falls_back_when_no_cell_is_named(monkeypatch, estimate):
+    """No cell is named from an estimate that is not a number or more than one
+    cell off; the general route then gives the same bracket."""
+    tol = Fraction(1, 10**7)
+    for lengths, t in (((1, 11), 6), ((5, 9), 7), ((2, 4, 3, 3), 6), ((3, 8, 5, 6), 11)):
+        p = _ring_polynomial(lengths, t)
+        expected = largest_real_root(p, tol)
+        r = float(expected.lo)
+        guess = {
+            "nan": lambda U: nan,
+            "1": lambda U: 1.0,
+            "2U": lambda U: 2.0 * U,
+            "r * 1.01": lambda U: r * 1.01,
+        }[estimate]
+        with monkeypatch.context() as patch:
+            patch.setattr(perron.spectral, "_float_top_root", lambda p, U: guess(U))
+            fallbacks = _fallbacks(patch)
+            assert _ring_root(lengths, t, p, tol) == expected
+            assert len(fallbacks) == 1

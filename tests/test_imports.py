@@ -30,3 +30,11 @@ def test_library_modules_read_every_import():
     assert modules
     for path in modules:
         assert _unused_imports(path.read_text()) == [], path.name
+
+
+def test_genus_search_imports_no_general_root_route():
+    """``search`` decides ring candidates by ring signs (``families._ring_root``),
+    so it needs neither the general bracket nor a root count."""
+    tree = ast.parse((PACKAGE / "search.py").read_text())
+    names = {alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not names & {"largest_real_root", "count_roots_above", "descartes_roots_above"}

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import perron.charpoly
+import perron.polynomial
 import perron.search
 import perron.spectral
 from perron.charpoly import char_poly_ct
@@ -20,7 +21,7 @@ from perron.digraph import (
     is_strongly_connected,
 )
 from perron.errors import CounterexampleError, ParameterRangeError, ResourceLimitError
-from perron.families import build_shape_22, c4_polynomial, hironaka_bound, lt_polynomial
+from perron.families import _ring_polynomial, build_shape_22, c4_polynomial, hironaka_bound, lt_polynomial
 from perron.fixtures import figure4
 from perron.polynomial import IntPolynomial, _pdivmod, _sign_at, format_polynomial, parse_polynomial
 from perron.search import (
@@ -439,12 +440,13 @@ def test_figure4_fixture_properties():
 def test_decide_reads_no_trace_for_candidates_the_bound_sign_eliminates():
     tol = Fraction(1, 10**7)
     bound = hironaka_bound(6, tol)
-    task = lambda p: (p, bound.bound.lo, bound.bound.hi, lt_polynomial(bound.d, bound.a), tol)
+    bound_poly = lt_polynomial(bound.d, bound.a)
+    task = lambda lengths, t, p: (lengths, t, p, bound.bound.lo, bound.bound.hi, bound_poly, tol)
     above = lt_polynomial(6, 1)  # root 1.29..., far above the bound
-    assert _decide_candidate(task(above))[0] == "eliminated"
+    assert _decide_candidate(task((1, 11), 6, above))[0] == "eliminated"
     below = lt_polynomial(15, 14)
-    assert _decide_candidate(task(below))[0] == "survivor"
-    assert vars(below)["_trace"] is not None
+    assert _decide_candidate(task((14, 16), 15, below))[0] == "survivor"
+    assert "_trace" not in vars(above) and "_trace" not in vars(below)
 
 
 @pytest.mark.parametrize("g, kept, total", [(6, 182, 620), (8, 474, 2383)])
@@ -476,7 +478,7 @@ def test_genus_search_eliminates_by_ring_sign_before_building(monkeypatch, g, ke
     assert report.total == len(signs) == total
     assert len(built) == len(tasks) == sum(s >= 0 for s in signs) == kept
     bound_hi = hironaka_bound(g, Fraction(1, 10**7)).bound.hi
-    for poly, _, hi, _, _ in tasks:
+    for _, _, poly, _, hi, _, _ in tasks:
         assert hi == bound_hi
         assert _sign_at(poly.coeffs, *hi.as_integer_ratio()) >= 0
 
@@ -485,7 +487,9 @@ def _bound_task(g, tol=Fraction(1, 10**7)):
     """The ``_decide_candidate`` task for a candidate at genus g, bound at 1e-7."""
     bound = hironaka_bound(g, Fraction(1, 10**7))
     bound_poly = lt_polynomial(bound.d, bound.a)
-    return bound.bound, lambda p: (p, bound.bound.lo, bound.bound.hi, bound_poly, tol)
+    return bound.bound, lambda lengths, t: (
+        lengths, t, _ring_polynomial(lengths, t), bound.bound.lo, bound.bound.hi, bound_poly, tol
+    )
 
 
 def test_decide_reports_the_bound_bracket_for_candidates_the_bound_divides():
@@ -494,8 +498,8 @@ def test_decide_reports_the_bound_bracket_for_candidates_the_bound_divides():
     assert not any(_pdivmod(c4.coeffs, bound_poly.coeffs)[1])
     own = largest_real_root(c4, Fraction(1, 10**7))
     assert (own.lo, own.hi) != (bound.lo, bound.hi)  # another grid, so the pin below bites
-    for poly in (bound_poly, c4):
-        status, lam = _decide_candidate(task(poly))
+    for ring in (((7, 9), 8), ((9, 9, 7, 7), 16)):
+        status, lam = _decide_candidate(task(*ring))
         assert status == "survivor"
         assert (lam.lo, lam.hi) == (bound.lo, bound.hi)
 
@@ -503,7 +507,7 @@ def test_decide_reports_the_bound_bracket_for_candidates_the_bound_divides():
 def test_decide_reports_the_own_bracket_without_a_bound():
     tol = Fraction(1, 10**7)
     poly = lt_polynomial(6, 5)
-    status, lam = _decide_candidate((poly, None, None, None, tol))
+    status, lam = _decide_candidate(((5, 7), 6, poly, None, None, None, tol))
     own = largest_real_root(poly, tol)
     assert status == "survivor" and (lam.lo, lam.hi) == (own.lo, own.hi)
 
@@ -517,14 +521,10 @@ def test_decide_with_a_coarse_bracket_straddling_the_bound():
     for poly in (below, above):
         lam = largest_real_root(poly, coarse)
         assert lam.lo < bound.lo < lam.hi
-    status, lam = _decide_candidate(task(below))
+    status, lam = _decide_candidate(task((5, 9), 7))
     own = largest_real_root(below, coarse)
     assert status == "survivor" and (lam.lo, lam.hi) == (own.lo, own.hi)
-    assert _decide_candidate(task(above)) == ("eliminated", None)
-    # two roots above the bound leave the sign there positive, so the Sturm
-    # count at the bound's upper end eliminates; no LT or c4 candidate of
-    # g = 6..11 takes that branch
-    assert _decide_candidate(task(parse_polynomial("x^2 - 5x + 6"))) == ("eliminated", None)
+    assert _decide_candidate(task((4, 8), 6)) == ("eliminated", None)
 
 
 def test_genus_search_certifies_each_survivor_once(monkeypatch):
@@ -545,6 +545,28 @@ def test_genus_search_certifies_each_survivor_once(monkeypatch):
     report = genus_candidates(8, 4)
     assert len(report.survivors) == 474
     assert calls <= 475
+
+
+def test_genus_search_takes_no_general_root_route(monkeypatch):
+    """Ring signs and the one-root lemma decide every candidate and the bound:
+    no Descartes or Sturm count, no general bracket and no trace polynomial."""
+    calls = Counter()
+    for name in ("descartes_roots_above", "count_roots_above", "_sturm_bracket", "largest_real_root"):
+        original = getattr(perron.spectral, name)
+
+        def counting(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "perron" and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    traces = []
+    trace_coeffs = perron.polynomial._trace_coeffs
+    monkeypatch.setattr(perron.polynomial, "_trace_coeffs", lambda cs: traces.append(cs) or trace_coeffs(cs))
+    report = genus_candidates(8, 4)
+    assert len(report.survivors) == 474
+    assert calls == Counter() and traces == []
 
 
 def test_count_realizations_builds_one_prefix_grid_per_ring(monkeypatch):

@@ -21,6 +21,7 @@ from perron.fixtures import figure1
 from perron.polynomial import IntPolynomial, eval_at_one, parse_polynomial
 from perron.search import _partitions_exact
 from perron.spectral import (
+    RootResult,
     count_roots_above,
     descartes_roots_above,
     fast_bracket_at_least_one,
@@ -465,6 +466,33 @@ def test_odd_degree_palindrome_keeps_the_p_route():
         assert r.lo < Fraction(26180339887, 10**10) < r.hi
     assert count_roots_above(p, Fraction(1)) == 1
     assert count_roots_above(p, Fraction(-2)) == 3
+
+
+def test_decimal_matches_the_fraction_formula():
+    def reference(lo, hi, digits):  # the midpoint rounded half-up in Fraction arithmetic
+        scaled = (lo + hi) / 2 * 10**digits
+        n = scaled.numerator // scaled.denominator
+        if 2 * (scaled - n) >= 1:
+            n += 1
+        sign = "-" if n < 0 else ""
+        n = abs(n)
+        return f"{sign}{n // 10**digits}.{n % 10**digits:0{digits}d}"
+
+    rng = random.Random(19)
+    brackets = []
+    for _ in range(2000):
+        lo = Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 10**4))
+        brackets.append((lo, lo + Fraction(rng.randint(0, 100), rng.randint(1, 10**5))))
+    # midpoints exactly half-way between two roundings, of both signs
+    for digits in (1, 3, 5):
+        for k in (-12346, -1, 0, 1, 12345):
+            x = Fraction(2 * k + 1, 2 * 10**digits)
+            brackets += [(x, x), (x - Fraction(1, 7), x + Fraction(1, 7))]
+    for lo, hi in brackets:
+        for digits in (1, 3, 5):
+            assert RootResult(lo, hi).decimal(digits) == reference(lo, hi, digits), (lo, hi, digits)
+    half = Fraction(1, 20)
+    assert [RootResult(x, x).decimal(1) for x in (half, -half, -3 * half)] == ["0.1", "0.0", "-0.1"]
 
 
 def test_pf_converges_on_a_long_two_cycle_ring():
