@@ -220,13 +220,6 @@ def _ring_root(lengths, through: int, poly: IntPolynomial, tol) -> RootResult:
     return cell if cell is not None else largest_real_root(poly, tol)
 
 
-def _ring_roots_above(lengths, through: int, x) -> int:
-    """``count_roots_above(_ring_polynomial(lengths, through), x)`` for a
-    rational x >= 1, by the one-root lemma of ``_ring_root``: 1 when the ring
-    sign at x is negative, else 0."""
-    return int(_ring_sign_at(lengths, through, *x.as_integer_ratio()) < 0)
-
-
 def two_cycle_polynomial(a1: int, a2: int, a3: int) -> IntPolynomial:
     """x^m - x^{m-a1} - x^{a1} - x^{m-a3} + 1 with m = a1 + a2, colliding
     exponents summed: the characteristic polynomial of two cycles of lengths

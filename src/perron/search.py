@@ -9,6 +9,7 @@ and reports are sorted, so identical runs produce identical reports.
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -40,7 +41,6 @@ from .families import (
     _ring_attachments,
     _ring_polynomial,
     _ring_root,
-    _ring_roots_above,
     _ring_sign_at,
     ring_shape,
     ring_shape_with_through,
@@ -666,23 +666,22 @@ def count_realizations(p: IntPolynomial, n: int, c: int, cap: int = ENUMERATION_
 def _decide_candidate(task):
     """Compare one ring candidate against the genus bound bracket.
 
-    Returns (status, bracket), status survivor/eliminated/inconclusive.  Its
-    tasks come from ``genus_candidates``, which has already eliminated every
-    candidate whose ring sign at the bound's upper end is negative.  The
-    candidate's bracket comes from ``_ring_root`` and its root counts from
-    ring signs: a ring polynomial has exactly one root above 1, so it has one
-    root above x >= 1 when its sign at x is negative and none otherwise.  A
-    survivor reports its own bracket, or the bound's when the bound polynomial
-    divides it and so shares its one root above 1.
+    Returns (status, bracket), status survivor or inconclusive.  Its tasks
+    come from ``genus_candidates``, which has already eliminated every
+    candidate whose ring sign at the bound's upper end is negative, so the
+    candidate's one root above 1 lies at or below that end.  The candidate's
+    own bracket comes from ``_ring_root``; when it does not end at or below
+    the bound's lower end, the ring sign there counts the roots above it: a
+    ring polynomial has one root above x >= 1 when its sign at x is negative
+    and none otherwise.  A survivor reports its own bracket, or the bound's
+    when the bound polynomial divides it and so shares its one root above 1.
     """
     lengths, through, poly, bound_lo, bound_hi, bound_poly, tol = task
     lam = _ring_root(lengths, through, poly, tol)
     if bound_lo is None or lam.hi <= bound_lo:
         return "survivor", lam
-    if _ring_roots_above(lengths, through, bound_lo) == 0:
+    if _ring_sign_at(lengths, through, *bound_lo.as_integer_ratio()) >= 0:
         return "survivor", lam
-    if _ring_roots_above(lengths, through, bound_hi) == 1:
-        return "eliminated", None
     # the one root lies in the bound bracket and is the bound's root when the
     # bound polynomial divides the candidate; its own grid could round differently
     if not any(_pdivmod(poly.coeffs, bound_poly.coeffs)[1]):
@@ -737,7 +736,6 @@ def genus_candidates(
                 info = {"family": "c4", "d": d, "a": list(parts), "m": m}
                 candidates.append((parts, d, info, ring_shape_with_through, (parts, d)))
 
-    eliminated = {"lambda_above_bound": 0}
     if bound is None:
         bound_lo = bound_hi = bound_poly = None
         kept = candidates
@@ -746,14 +744,15 @@ def genus_candidates(
         bound_poly = lt_polynomial(bound.d, bound.a)
         num, den = bound_hi.as_integer_ratio()
         kept = [c for c in candidates if _ring_sign_at(c[0], c[1], num, den) >= 0]
-        eliminated["lambda_above_bound"] = len(candidates) - len(kept)
     polys = [_ring_polynomial(lengths, t) for lengths, t, *_ in kept]
     tasks = [
         (lengths, t, poly, bound_lo, bound_hi, bound_poly, tolf)
         for (lengths, t, *_), poly in zip(kept, polys)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the pool forks all its workers at once, so never more than the CPUs
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_decide_candidate, tasks, chunksize=32))
     else:
         results = [_decide_candidate(t) for t in tasks]
@@ -766,8 +765,6 @@ def genus_candidates(
             entry_info["lambda"] = lam.decimal(5)
             entry_info["m_minus_2g"] = info["m"] - 2 * g
             survivors.append(SurvivorEntry(poly, make_shape(*args), entry_info))
-        elif status == "eliminated":
-            eliminated["lambda_above_bound"] += 1
         else:
             inconclusive += 1
 
@@ -797,7 +794,10 @@ def genus_candidates(
             "tol": str(tolf),
         },
         total=len(candidates),
-        eliminated={**eliminated, "inconclusive": inconclusive},
+        eliminated={
+            "lambda_above_bound": len(candidates) - len(kept),
+            "inconclusive": inconclusive,
+        },
         survivors=survivors,
         notes=notes,
     )

@@ -5,9 +5,9 @@ Every polynomial sign here is an exact integer computation at a rational
 point.  Floating point appears only where nothing rests on it: in the estimate
 from which ``_cell_bracket`` names a bracket that exact signs and a certificate
 then confirm, and when a bracket is rendered as a decimal string.  The
-certificate is a Descartes count on the general route (``_named_cell``); a
-ring polynomial needs none, since it has exactly one root above 1
-(``families._ring_root``).
+certificate is a Descartes count on the general route
+(``fast_bracket_at_least_one``); a ring polynomial needs none, since it has
+exactly one root above 1 (``families._ring_root``).
 
 A palindromic p of even degree 2d is p(x) = x^d q(x + 1/x) with q the integer
 trace polynomial of degree d (``IntPolynomial._trace``).  For x > 0 the sign
@@ -49,7 +49,7 @@ _TOL_FLOOR = Fraction(1, 10**300)
 # the fraction digits are rendered as one int, and CPython refuses to convert
 # an int of more than 4,300 digits to text by default
 _MAX_DIGITS = 4300
-# ``_named_cell``: the float sign-bisection levels before Newton steps take
+# ``_cell_bracket``: the float sign-bisection levels before Newton steps take
 # over and the cap on those steps; the grid level of the Descartes certificate,
 # whose small denominators keep its Taylor shift cheap; and the narrowest cell
 # a float estimate names, r * 2^-42
@@ -194,29 +194,32 @@ def _cauchy_bound(p: IntPolynomial) -> int:
 def largest_real_root(p: IntPolynomial, tol=DEFAULT_TOL) -> RootResult:
     """Certified bracket of width <= tol around the largest real root in [1, oo).
 
-    Tries ``_named_cell`` first, which names the bracket from a float estimate
-    of the root and certifies it exactly.  When one of its checks fails,
-    bisects on exact Sturm counts; raises NoRootAtLeastOne when those show no
-    real root >= 1.  Both routes give the same bracket.
+    Tries ``fast_bracket_at_least_one`` first, which names the bracket from a
+    float estimate of the root and certifies it exactly.  When one of its
+    checks fails, bisects on exact Sturm counts; raises NoRootAtLeastOne when
+    those show no real root >= 1.  Both routes give the same bracket.
     """
     if p.degree < 1:
         raise ParameterRangeError("largest_real_root needs degree >= 1")
     if not p.is_monic:
         raise ParameterRangeError("largest_real_root expects a monic polynomial")
     tolf = _positive_tol(tol)
-    named = _named_cell(p, tolf)
+    named = fast_bracket_at_least_one(p, tolf)
     return named if named is not None else _sturm_bracket(p, tolf)
 
 
-def _named_cell(p: IntPolynomial, tolf: Fraction) -> RootResult | None:
-    """The bracket of ``_sturm_bracket`` for a monic p with p(1) < 0, or None
-    when a check fails: ``_cell_bracket`` over the exact signs that ``_view``
-    reads, certified by Descartes counts, which are exact when they return 0
-    or 1."""
-    if eval_at_one(p) >= 0:
+def fast_bracket_at_least_one(p: IntPolynomial, tol) -> RootResult | None:
+    """The bracket of ``_sturm_bracket`` for a monic p of degree >= 1 with
+    p(1) < 0, or None for any other p and when a check fails:
+    ``_cell_bracket`` over the exact signs that ``_view`` reads, certified by
+    Descartes counts, which are exact when they return 0 or 1."""
+    if not p.is_monic or p.degree < 1 or eval_at_one(p) >= 0:
         return None
     return _cell_bracket(
-        p, tolf, _sign_of(*_view(p)), lambda x, count: descartes_roots_above(p, x) == count
+        p,
+        _positive_tol(tol),
+        _sign_of(*_view(p)),
+        lambda x, count: descartes_roots_above(p, x) == count,
     )
 
 
@@ -387,7 +390,7 @@ def _sturm_bracket(p: IntPolynomial, tolf: Fraction) -> RootResult:
         else:
             b = mid
     # phase 2: plain sign bisection inside the isolating interval
-    a, b, k = _sign_bisection(q, a, b, k, tolf, point)
+    a, b, k = _sign_bisection(_sign_of(q, point), a, b, k, tolf)
     return RootResult(
         Fraction(a, 1 << k),
         Fraction(b, 1 << k),
@@ -396,19 +399,12 @@ def _sturm_bracket(p: IntPolynomial, tolf: Fraction) -> RootResult:
     )
 
 
-def _sign_bisection(
-    sign, a: int, b: int, k: int, tolf: Fraction, point=None
-) -> tuple[int, int, int]:
+def _sign_bisection(sign, a: int, b: int, k: int, tolf: Fraction) -> tuple[int, int, int]:
     """Halve [a/2^k, b/2^k] around the one sign change inside it, from
     negative to positive, until the width is <= tolf; returns (a, b, k), with
-    a == b when a midpoint is the root.
-
-    ``sign(num, den)`` is the exact sign at num/den; given a ``point`` map,
-    ``sign`` is instead a coefficient list read at point(num, den), the pair
-    that ``_view`` returns.
+    a == b when a midpoint is the root.  ``sign(num, den)`` is the exact sign
+    at num/den.
     """
-    if point is not None:
-        sign = _sign_of(sign, point)
     tn, td = tolf.as_integer_ratio()
     while (b - a) * td > tn << k:
         mid = a + b
@@ -421,30 +417,6 @@ def _sign_bisection(
         else:
             b = mid
     return a, b, k
-
-
-def fast_bracket_at_least_one(p: IntPolynomial, tol) -> RootResult | None:
-    """Certified bracket for the largest real root of a monic p with p(1) < 0,
-    or None when the certificate below fails.
-
-    Sign bisection of [1, U], U the Cauchy bound, on the dyadic grid: lo and
-    hi are a/2^k and b/2^k, and only integer signs are computed.  The result
-    is certified when the Descartes count above lo is exactly 1: the one root
-    above lo is then simple and the largest, and every visited interval holds
-    it, so the Sturm route visits the same intervals and returns this bracket.
-    ``largest_real_root`` reaches the same bracket through ``_named_cell``,
-    which skips the bisection and checks this certificate on its cell.
-    """
-    if not p.is_monic or p.degree < 1 or eval_at_one(p) >= 0:
-        return None
-    cs, point = _view(p)
-    a, b, k = _sign_bisection(cs, 1, _cauchy_bound(p), 0, _positive_tol(tol), point)
-    lo = Fraction(a, 1 << k)
-    if a == b:
-        return RootResult(lo, lo, 0, 0) if descartes_roots_above(p, lo) == 0 else None
-    if descartes_roots_above(p, lo) == 1:
-        return RootResult(lo, Fraction(b, 1 << k), -1, 1)
-    return None
 
 
 def count_roots_above(p: IntPolynomial, x: Fraction) -> int:

@@ -1,9 +1,12 @@
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import perron
 
 PACKAGE = Path(perron.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -38,3 +41,49 @@ def test_genus_search_imports_no_general_root_route():
     tree = ast.parse((PACKAGE / "search.py").read_text())
     names = {alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert not names & {"largest_real_root", "count_roots_above", "descartes_roots_above"}
+
+
+def _definitions(source: str) -> list[str]:
+    """The top-level functions and classes of ``source`` and the methods of
+    its classes, dunders aside."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, defs):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [n.name for n in node.body if isinstance(n, defs)]
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def _orphans(defining: list[str], naming: list[str]) -> list[str]:
+    """The names that ``_definitions`` finds in the ``defining`` sources and
+    that no text of ``naming`` (the defining ones among them) names anywhere
+    but where it is defined."""
+    defined = Counter(name for source in defining for name in _definitions(source))
+    words = Counter(word for text in naming for word in re.findall(r"\w+", text))
+    return sorted(name for name, n in defined.items() if words[name] <= n)
+
+
+def test_guard_finds_an_orphaned_helper():
+    lib = (
+        "def used():\n    pass\n\n"
+        "def _orphan():\n    pass\n\n"
+        "class C:\n    def gone(self): pass\n    def __repr__(self): return ''\n"
+    )
+    caller = "from lib import used, C\nused()\nC()\n"
+    assert _orphans([lib], [lib, caller]) == ["_orphan", "gone"]
+
+
+def test_every_library_definition_is_named_elsewhere():
+    """A helper left behind when its last caller goes is named here: every
+    function, class and method of the library must be named again somewhere
+    in ``src/``, ``tests/`` or ``perfbench/``."""
+    defining = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    assert defining
+    naming = [
+        path.read_text()
+        for folder in ("src", "tests", "perfbench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    ]
+    assert _orphans(defining, naming) == []

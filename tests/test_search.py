@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import os
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -372,6 +373,36 @@ def test_genus_candidates_jobs_equivalence_with_c4():
     assert any(s.info["family"] == "c4" for s in a.survivors)
 
 
+def test_genus_candidates_caps_the_pool_at_the_cpu_count(monkeypatch):
+    """An oversized ``jobs`` asks for one worker per CPU, and runs serially
+    on one CPU.  The recording pool maps in this process: no worker starts."""
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(perron.search, "ProcessPoolExecutor", RecordingPool)
+    serial = json.dumps(genus_candidates(7, 4).to_json_obj(), sort_keys=True)
+    report = genus_candidates(7, 4, jobs=10**6)
+    assert json.dumps(report.to_json_obj(), sort_keys=True) == serial
+    assert all(n <= (os.cpu_count() or 1) for n in pools)
+    for cpus, asked in ((3, [3]), (1, []), (None, [])):
+        pools.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        genus_candidates(6, 2, m_max=16, jobs=10**6)
+        assert pools == asked, cpus
+
+
 def test_genus_candidates_builds_digraphs_only_when_read(monkeypatch):
     """A survivor keeps its ring shape: the search and its renderings build no
     digraph, and each read of a representative builds one."""
@@ -437,31 +468,32 @@ def test_figure4_fixture_properties():
     assert d.edge_count == 15
 
 
-def test_decide_reads_no_trace_for_candidates_the_bound_sign_eliminates():
+def test_decide_reads_no_trace_for_a_survivor():
     tol = Fraction(1, 10**7)
     bound = hironaka_bound(6, tol)
     bound_poly = lt_polynomial(bound.d, bound.a)
-    task = lambda lengths, t, p: (lengths, t, p, bound.bound.lo, bound.bound.hi, bound_poly, tol)
-    above = lt_polynomial(6, 1)  # root 1.29..., far above the bound
-    assert _decide_candidate(task((1, 11), 6, above))[0] == "eliminated"
     below = lt_polynomial(15, 14)
-    assert _decide_candidate(task((14, 16), 15, below))[0] == "survivor"
-    assert "_trace" not in vars(above) and "_trace" not in vars(below)
+    task = ((14, 16), 15, below, bound.bound.lo, bound.bound.hi, bound_poly, tol)
+    assert _decide_candidate(task)[0] == "survivor"
+    assert "_trace" not in vars(below)
 
 
 @pytest.mark.parametrize("g, kept, total", [(6, 182, 620), (8, 474, 2383)])
 def test_genus_search_eliminates_by_ring_sign_before_building(monkeypatch, g, kept, total):
     """The ring sign at the bound's upper end is the search's one elimination
-    there: only the candidates it keeps get a polynomial and a task, and every
-    task's polynomial is non-negative at that end."""
-    signs, built, tasks = [], [], []
+    there: it is read once per candidate, only the candidates it keeps get a
+    polynomial and a task, and every task's polynomial is non-negative at that
+    end.  The decision reads the sign at the bound's lower end only for the
+    few candidates whose own bracket does not settle them."""
+    signs, built, tasks = {}, [], []  # signs: the signs read at each point
     ring_sign_at = perron.search._ring_sign_at
     ring_polynomial = perron.search._ring_polynomial
     decide = perron.search._decide_candidate
 
-    def counting_sign(*args):
-        signs.append(ring_sign_at(*args))
-        return signs[-1]
+    def counting_sign(lengths, t, num, den):
+        sign = ring_sign_at(lengths, t, num, den)
+        signs.setdefault(Fraction(num, den), []).append(sign)
+        return sign
 
     def counting_polynomial(*args):
         built.append(args)
@@ -475,11 +507,13 @@ def test_genus_search_eliminates_by_ring_sign_before_building(monkeypatch, g, ke
     monkeypatch.setattr(perron.search, "_ring_polynomial", counting_polynomial)
     monkeypatch.setattr(perron.search, "_decide_candidate", counting_decide)
     report = genus_candidates(g, 4)
-    assert report.total == len(signs) == total
-    assert len(built) == len(tasks) == sum(s >= 0 for s in signs) == kept
-    bound_hi = hironaka_bound(g, Fraction(1, 10**7)).bound.hi
+    bound = hironaka_bound(g, Fraction(1, 10**7)).bound
+    upper = signs.pop(bound.hi)
+    assert report.total == len(upper) == total
+    assert len(built) == len(tasks) == sum(s >= 0 for s in upper) == kept
+    assert {x: len(read) for x, read in signs.items()} == {bound.lo: {6: 3, 8: 2}[g]}
     for _, _, poly, _, hi, _, _ in tasks:
-        assert hi == bound_hi
+        assert hi == bound.hi
         assert _sign_at(poly.coeffs, *hi.as_integer_ratio()) >= 0
 
 
@@ -524,7 +558,6 @@ def test_decide_with_a_coarse_bracket_straddling_the_bound():
     status, lam = _decide_candidate(task((5, 9), 7))
     own = largest_real_root(below, coarse)
     assert status == "survivor" and (lam.lo, lam.hi) == (own.lo, own.hi)
-    assert _decide_candidate(task((4, 8), 6)) == ("eliminated", None)
 
 
 def test_genus_search_certifies_each_survivor_once(monkeypatch):

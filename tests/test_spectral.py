@@ -30,9 +30,9 @@ from perron.spectral import (
     monotonicity_witness,
     pf_eigenvalue,
     _cauchy_bound,
-    _named_cell,
     _same_point,
     _sign_bisection,
+    _sign_of,
     _sturm_bracket,
     _trace_point,
     _view,
@@ -452,8 +452,8 @@ def test_palindromic_point_at_an_exact_root():
     # whether it reads (2x - 1)(x - 2) at x or its trace 2y - 5 at x + 1/x
     f = IntPolynomial((2, -5, 2))
     assert f._trace == (2, -5)
-    assert _sign_bisection(f._trace, 1, 3, 0, TOL, _trace_point) == (4, 4, 1)
-    assert _sign_bisection(f.coeffs, 1, 3, 0, TOL, _same_point) == (4, 4, 1)
+    assert _sign_bisection(_sign_of(f._trace, _trace_point), 1, 3, 0, TOL) == (4, 4, 1)
+    assert _sign_bisection(_sign_of(f.coeffs, _same_point), 1, 3, 0, TOL) == (4, 4, 1)
 
 
 def test_odd_degree_palindrome_keeps_the_p_route():
@@ -585,7 +585,7 @@ def test_named_cell_rests_on_no_float_estimate(monkeypatch):
             r = float(expected.lo)
             for x in (1.0, 2.0, 4.0, r / 2, r * 0.99, r - 1e-9, r, r + 1e-9, r * 1.01, 2 * r, nan):
                 guess.append(x)
-                result = _named_cell(p, tol)
+                result = fast_bracket_at_least_one(p, tol)
                 assert result is None or result == expected, (p, tol, x)
                 named += result is not None
     assert named > 0
@@ -601,7 +601,7 @@ def test_named_cell_certifies_its_own_cell_when_the_coarse_count_fails():
             expected = _sturm_bracket(p, tol)
             coarse = 1 + Fraction(floor((expected.lo - 1) * 1024 / n) * n, 1024)
             assert descartes_roots_above(p, coarse) > 1
-            assert _named_cell(p, tol) == expected, (M, tol)
+            assert fast_bracket_at_least_one(p, tol) == expected, (M, tol)
 
 
 @settings(max_examples=200, deadline=None)
@@ -614,7 +614,7 @@ def test_named_cell_brackets_equal_the_sturm_route_on_random_polynomials(tail, t
     try:
         expected = _sturm_bracket(p, tol)
     except NoRootAtLeastOne:
-        assert _named_cell(p, tol) is None
+        assert fast_bracket_at_least_one(p, tol) is None
         with pytest.raises(NoRootAtLeastOne):
             largest_real_root(p, tol)
         return
@@ -629,8 +629,8 @@ def test_named_cell_survives_float_overflow():
     steep = IntPolynomial((1, -(10**15)) + (0,) * 24 + (-1,))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _named_cell(huge, TOL) is None
-        assert _named_cell(steep, TOL) is not None
+        assert fast_bracket_at_least_one(huge, TOL) is None
+        assert fast_bracket_at_least_one(steep, TOL) is not None
         for p in (huge, steep):
             assert largest_real_root(p, TOL) == _sturm_bracket(p, TOL)
 
