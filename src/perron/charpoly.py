@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 from math import prod
-from operator import add, mul
+from operator import add, mul, sub
 
 from .digraph import ORACLE_MAX_VERTICES, Cycle, MultiDigraph, _grid_arcs, _path_cycle
 from .digraph import _smooth, _weighted_cycles
@@ -183,6 +183,50 @@ def _edge_placement_coeffs(rows, b):
     return [
         [(1, *(bk - P[j][i] for bk, P in zip(tail, powers))) for j in range(m)] for i in range(m)
     ]
+
+
+def _edge_placement_matches(rows, b, target) -> list[tuple[int, int]]:
+    """The (i, j), in row-major order, whose single-edge placement i -> j on T
+    has the descending charpoly coefficients ``target``.
+
+    The identity of ``_edge_placement_coeffs``, one adjugate column at a time:
+    v_0 = e_i and v_k = T·v_{k-1} + b_k e_i give B_k[j][i] = v_k[j], so
+    placement i -> j has coefficient k + 1 equal to b_{k+1} - v_k[j].  Each j
+    is dropped at the first k where that differs from the target's, and a
+    column stops when no j is left.  B_0 = I, so the first coefficient settles
+    the diagonal: it keeps only the loop i -> i or only the other edges.
+    """
+    m = len(rows)
+    if len(target) != m + 1 or target[0] != 1:
+        return []
+    want = list(map(sub, b[1:], target[1:]))  # want[k] = B_k[j][i] for a match
+    if want[0] not in (0, 1):
+        return []
+    loop = want[0] == 1
+    cols = [[] for _ in range(m)]  # cols[t]: T's (row, multiplicity) in column t
+    for r, row in enumerate(rows):
+        for t, mult in enumerate(row):
+            if mult:
+                cols[t].append((r, mult))
+    matches = []
+    for i in range(m):
+        alive = [i] if loop else [j for j in range(m) if j != i]
+        v = [0] * m
+        v[i] = 1
+        for k in range(1, m):
+            nxt = [0] * m
+            for t, x in enumerate(v):
+                if x:
+                    for r, mult in cols[t]:
+                        nxt[r] += mult * x
+            nxt[i] += b[k]
+            v = nxt
+            w = want[k]
+            alive = [j for j in alive if v[j] == w]
+            if not alive:
+                break
+        matches.extend((i, j) for j in alive)
+    return matches
 
 
 def _check_ct_size(m: int, max_m: int = CT_MAX_VERTICES):

@@ -20,6 +20,7 @@ from .charpoly import (
     char_poly_ct,
     _census_of_core,
     _edge_placement_coeffs,
+    _edge_placement_matches,
 )
 from .digraph import (
     MultiDigraph,
@@ -222,7 +223,7 @@ def _chord_shapes(m: int):
 def sweep_ring(n: int, m: int):
     """All ring placements in ``_ring_shapes`` order, each built as its dense
     digraph: ``(lengths, exits, digraph)``.  The verify sweeps read the shapes
-    instead; ``count`` and the (4,5) tabulation need the grids."""
+    instead; the (4,5) tabulation needs the grids."""
     for lengths, exits, shape in _ring_shapes(n, m):
         yield lengths, exits, build_shape_nc(shape)
 
@@ -578,6 +579,13 @@ def _ring_placements(m: int, c: int, n: int, cap: int):
     edges.  With no extra edge, ``slots`` is None and ``dg`` is the placement
     itself.  Every placement is strongly connected: the ring's cycles and its
     edge from each cycle to the next already are, and extra edges keep it so.
+
+    Only the rings whose ``(l_k, e_k)`` sequence is the least of its n cyclic
+    rotations are built.  A rotated ring is the same ring with its cycle
+    blocks relabelled, and the relabelling carries every multiset of extra
+    edges on it to one on the kept ring, so the placements still reach every
+    class.  The estimate still counts every rotation, so the same inputs are
+    refused with the same ``estimate``.
     """
     _check_shape_range(n, c)
     if m < n:
@@ -604,7 +612,11 @@ def _ring_placements(m: int, c: int, n: int, cap: int):
                 f"shape placement estimate of at least {estimate} exceeds cap {cap}",
                 estimate=estimate,
             )
-    for _, _, base in sweep_ring(n, m):
+    for lengths, exits, shape in _ring_shapes(n, m):
+        ring = tuple(zip(lengths, exits))
+        if any(ring[r:] + ring[:r] < ring for r in range(1, n)):
+            continue  # a rotation of a ring that is built
+        base = build_shape_nc(shape)
         if extra_edges == 0:
             yield base, None
             continue
@@ -635,15 +647,17 @@ def count_realizations(p: IntPolynomial, n: int, c: int, cap: int = ENUMERATION_
     degree(p) vertices whose characteristic polynomial equals p.
 
     Walks the placements of ``enumerate_digraphs(m, c, n_cycles=n)``, but
-    compares each placement's polynomial with p first (by a rank-one update
-    of its ring-plus-prefix polynomial) and labels only the matches.
+    compares each placement's polynomial with p first and labels only the
+    matches: ``_edge_placement_matches`` drops each last-edge slot at the first
+    coefficient where the rank-one update of its ring-plus-prefix polynomial
+    differs from p.
     """
     m = p.degree
     if not 1 <= m <= FULL_ENUMERATION_MAX_M:
         raise ParameterRangeError(f"count_realizations needs degree 1..{FULL_ENUMERATION_MAX_M}")
     _check_shape_range(n, c)
-    if p.b(1) > 0:
-        return 0  # b_1 = -trace(T) <= 0 for every digraph
+    if p.b(1) > 0 or p.coeffs[0] != 1:
+        return 0  # every digraph's polynomial is monic with b_1 = -trace(T) <= 0
     forms = set()
     for dg, slots in _ring_placements(m, c, n, cap):
         q = char_poly_ct(dg)
@@ -651,10 +665,8 @@ def count_realizations(p: IntPolynomial, n: int, c: int, cap: int = ENUMERATION_
             if q == p:
                 forms.add(canonical_form(dg))
             continue
-        polys = _edge_placement_coeffs(dg.rows, q.coeffs)
-        for s in slots:
-            i, j = divmod(s, m)
-            if polys[i][j] == p.coeffs:
+        for i, j in _edge_placement_matches(dg.rows, q.coeffs, p.coeffs):
+            if i * m + j in slots:
                 forms.add(canonical_form(dg.with_edge(i, j)))
     return len(forms)
 

@@ -6,6 +6,7 @@ import pytest
 from perron.charpoly import (
     _core_census,
     _edge_placement_coeffs,
+    _edge_placement_matches,
     char_poly_ct,
     char_poly_oracle,
     enumerate_linear_subdigraphs,
@@ -179,6 +180,25 @@ def test_edge_placement_update_matches_both_routes(rng):
             for j in range(m):
                 e = d.with_edge(i, j)
                 assert placements[i][j] == char_poly_ct(e).coeffs == char_poly_oracle(e).coeffs
+
+
+def test_edge_placement_matches_equal_the_full_table(rng):
+    """The first-mismatch matcher finds exactly the placements whose tabulated
+    polynomial is the target, with loops and parallel edges in the grid, for
+    targets taken from real placements and for wrong-degree, non-monic and
+    perturbed ones."""
+    for _ in range(150):
+        m = rng.randint(1, 6)
+        density = rng.uniform(0.5, 2.5) / m
+        grid = [[rng.randint(1, 2) if rng.random() < density else 0 for _ in range(m)] for _ in range(m)]
+        b = char_poly_ct(MultiDigraph.from_rows(grid)).coeffs
+        table = _edge_placement_coeffs(grid, b)
+        targets = {table[rng.randrange(m)][rng.randrange(m)] for _ in range(3)}
+        some = next(iter(targets))
+        targets |= {some + (0,), some[:-1], (2,) + some[1:], some[:-1] + (some[-1] - 1,)}
+        for target in targets:
+            expected = [(i, j) for i in range(m) for j in range(m) if table[i][j] == target]
+            assert _edge_placement_matches(grid, b, target) == expected, (grid, target)
 
 
 def test_no_spanning_cover_forces_bm_zero():

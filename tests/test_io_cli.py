@@ -209,6 +209,14 @@ def test_cli_count():
     assert out == "6\n"
 
 
+def test_cli_count_of_a_non_monic_polynomial_is_zero():
+    # every digraph's polynomial is monic; x^4 - x^3 - x - 1, the first with
+    # its leading coefficient set to 1, has (2,3) realizations
+    assert invoke("count", "x^4 - x^3 - x - 1", "--n", "2", "--c", "3")[1] != "0\n"
+    for poly in ("2x^4 - x^3 - x - 1", "-x^4 + 1"):
+        assert invoke("count", poly, "--n", "2", "--c", "3") == (0, "0\n", "")
+
+
 def test_cli_count_checks_n_and_c_before_the_trace_shortcut():
     # x^2 + x has b_1 > 0, so no digraph realizes it, but --n 0 is refused first
     outcomes = {p: invoke("count", p, "--n", "0", "--c", "0") for p in ("x^2 + x", "x^2 - x")}

@@ -190,6 +190,24 @@ def test_count_realizations_matches_brute_force():
                     assert count_realizations(p, n, c) == classes[p], (p, n, c)
 
 
+def test_shape_classes_equal_the_classes_of_every_rotation():
+    """The shape enumeration builds one ring per class of cyclic rotations;
+    its classes are those of every ring, rotations included, times every
+    multiset of extra edges."""
+    for n in range(1, 4):
+        for c in range(n, n + 3):
+            for m in range(n, 6):
+                forms = set()
+                for *_, base in sweep_ring(n, m):
+                    for extra in itertools.combinations_with_replacement(range(m * m), c - n):
+                        grid = [list(row) for row in base.rows]
+                        for s in extra:
+                            grid[s // m][s % m] += 1
+                        forms.add(canonical_form(MultiDigraph.from_rows(grid)))
+                enumerated = [canonical_form(d) for d in enumerate_digraphs(m, c, n_cycles=n)]
+                assert enumerated == sorted(forms), (m, c, n)
+
+
 def test_count_realizations_checks_the_cap_before_building(monkeypatch):
     p = lt_polynomial(7, 6)
     with pytest.raises(ResourceLimitError) as enumerated:
@@ -199,6 +217,8 @@ def test_count_realizations_checks_the_cap_before_building(monkeypatch):
         raise AssertionError("a ring was built before the cap was checked")
 
     monkeypatch.setattr(perron.search, "sweep_ring", no_rings)
+    monkeypatch.setattr(perron.search, "_ring_shapes", no_rings)
+    monkeypatch.setattr(perron.search, "build_shape_nc", no_rings)
     with pytest.raises(ResourceLimitError) as counted:
         count_realizations(p, 2, 9)
     assert counted.value.estimate == enumerated.value.estimate > ENUMERATION_CAP_DEFAULT
