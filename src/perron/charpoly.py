@@ -13,7 +13,7 @@ from math import prod
 from operator import add, mul, sub
 
 from .digraph import ORACLE_MAX_VERTICES, Cycle, MultiDigraph, _grid_arcs, _path_cycle
-from .digraph import _smooth, _weighted_cycles
+from .digraph import _weighted_cycles
 from .errors import ParameterRangeError, ResourceLimitError
 from .polynomial import IntPolynomial
 
@@ -99,14 +99,9 @@ def _linear_subdigraph_census(
     return b, cycles, levels
 
 
-def _core_census(rows, cores: dict):
-    """``_census_of_core`` on the smoothed core of a multiplicity grid."""
-    return _census_of_core(len(rows), _smooth(rows), cores)
-
-
 def _census_of_core(m: int, core, cores: dict):
     """The descending charpoly coefficients of a digraph on m vertices, summed
-    over its smoothed core ``(V, arcs, lengths, weights)`` (see ``_smooth``).
+    over its smoothed core ``(V, arcs, lengths, weights)`` (see ``Shape._core``).
 
     Returns ``(b, most)``: b_i sums (-1)^(cycles) times the weight product
     over the core's unions whose arc lengths total i, and ``most`` is the
@@ -229,17 +224,17 @@ def _edge_placement_matches(rows, b, target) -> list[tuple[int, int]]:
     return matches
 
 
-def _check_ct_size(m: int, max_m: int = CT_MAX_VERTICES):
+def _check_ct_size(m: int):
     """Refuse a digraph on more vertices than char_poly_ct takes."""
-    if m > max_m:
-        raise ParameterRangeError(f"char_poly_ct supports at most {max_m} vertices, got {m}")
+    if m > CT_MAX_VERTICES:
+        raise ParameterRangeError(
+            f"char_poly_ct supports at most {CT_MAX_VERTICES} vertices, got {m}"
+        )
 
 
-def char_poly_ct(
-    d: MultiDigraph, cap: int = SUBDIGRAPH_CAP_DEFAULT, max_m: int = CT_MAX_VERTICES
-) -> IntPolynomial:
+def char_poly_ct(d: MultiDigraph, cap: int = SUBDIGRAPH_CAP_DEFAULT) -> IntPolynomial:
     """Characteristic polynomial via the signed linear-subdigraph census."""
-    _check_ct_size(d.m, max_m)
+    _check_ct_size(d.m)
     return IntPolynomial(tuple(_linear_subdigraph_census(*_grid_arcs(d.rows), cap)[0]))
 
 

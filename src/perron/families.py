@@ -74,8 +74,10 @@ class Shape:
         return succ, extra
 
     def _core(self):
-        """``_smooth(build_shape_nc(self).rows)``, with no grid: the same
-        ``(V, arcs, lengths, weights)`` in the same vertex and arc order.
+        """The smoothed core of ``build_shape_nc(self)``, read with no grid:
+        ``(V, arcs, lengths, weights)``, each arc a path through in = out = 1
+        vertices, its length the path's edge count, its weight 1 or, for one
+        edge, that edge's multiplicity.
 
         The core vertices are the attachment endpoints, in vertex order, then
         one for each cycle with no endpoint, whose arc is a loop of the

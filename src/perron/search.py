@@ -55,7 +55,6 @@ from .polynomial import (
     classify_palindrome,
     eval_at_one,
     format_polynomial,
-    to_fraction,
 )
 from .spectral import RootResult
 
@@ -63,6 +62,8 @@ ENUMERATION_CAP_DEFAULT = 1_000_000
 FULL_ENUMERATION_MAX_M = 14
 # the genus search tabulates the (4,5) ring-plus-one-edge placements up to this m
 _RING_PLUS_ONE_M_MAX = 10
+# the bracket width of each genus candidate's root and of the bound's
+_SEARCH_TOL = Fraction(1, 10**7)
 
 
 # ---------------------------------------------------------------------------
@@ -218,33 +219,6 @@ def _chord_shapes(m: int):
                 else:
                     case = "plain"
                 yield case, Shape._unchecked((m,), ring.attachments + ((0, s2, 0, t2),))
-
-
-def sweep_ring(n: int, m: int):
-    """All ring placements in ``_ring_shapes`` order, each built as its dense
-    digraph: ``(lengths, exits, digraph)``.  The verify sweeps read the shapes
-    instead; the (4,5) tabulation needs the grids."""
-    for lengths, exits, shape in _ring_shapes(n, m):
-        yield lengths, exits, build_shape_nc(shape)
-
-
-def sweep_shape_11(m: int):
-    """All (1,1) placements up to rotation: the one-cycle rings, chord s -> 0."""
-    for _, (s,), dg in sweep_ring(1, m):
-        yield s + 1, dg  # chord cycle visits 0..s
-
-
-def sweep_shape_12(m: int):
-    """All (1,2) placements in ``_chord_shapes`` order, each built as its
-    digraph: ``(case, digraph)``."""
-    for case, shape in _chord_shapes(m):
-        yield case, build_shape_nc(shape)
-
-
-def sweep_shape_22(m: int):
-    """All (2,2) placements, the two-cycle rings: lengths (a1, a2), through split (p, q)."""
-    for (a1, a2), (e1, e2), dg in sweep_ring(2, m):
-        yield a1, a2, e1 + 1, e2 + 1, dg
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +616,7 @@ def _enumerate_shape_classes(m: int, c: int, n: int, cap: int) -> list[MultiDigr
     return [reps[k] for k in sorted(reps)]
 
 
-def count_realizations(p: IntPolynomial, n: int, c: int, cap: int = ENUMERATION_CAP_DEFAULT) -> int:
+def count_realizations(p: IntPolynomial, n: int, c: int) -> int:
     """Isomorphism classes of strongly connected (n,c)-shape digraphs on
     degree(p) vertices whose characteristic polynomial equals p.
 
@@ -659,7 +633,7 @@ def count_realizations(p: IntPolynomial, n: int, c: int, cap: int = ENUMERATION_
     if p.b(1) > 0 or p.coeffs[0] != 1:
         return 0  # every digraph's polynomial is monic with b_1 = -trace(T) <= 0
     forms = set()
-    for dg, slots in _ring_placements(m, c, n, cap):
+    for dg, slots in _ring_placements(m, c, n, ENUMERATION_CAP_DEFAULT):
         q = char_poly_ct(dg)
         if slots is None:
             if q == p:
@@ -705,7 +679,6 @@ def genus_candidates(
     g: int,
     c_max: int,
     m_max: int | None = None,
-    tol=Fraction(1, 10**7),
     jobs: int = 1,
 ) -> SearchReport:
     """Palindromic candidate polynomials from the ring shape classes with
@@ -726,10 +699,9 @@ def genus_candidates(
         raise ParameterRangeError("genus_candidates needs g >= 5")
     if not 1 <= c_max <= 5:
         raise ParameterRangeError("c_max must be within 1..5")
-    tolf = to_fraction(tol)
     window_hi = 6 * g - 6 if m_max is None else min(m_max, 6 * g - 6)
     window_lo = 2 * g
-    bound = hironaka_bound(g, tolf) if g >= 6 else None
+    bound = hironaka_bound(g, _SEARCH_TOL) if g >= 6 else None
 
     # (ring lengths, through length, info, ring shape builder and its
     # arguments); only survivors get their shape built
@@ -758,7 +730,7 @@ def genus_candidates(
         kept = [c for c in candidates if _ring_sign_at(c[0], c[1], num, den) >= 0]
     polys = [_ring_polynomial(lengths, t) for lengths, t, *_ in kept]
     tasks = [
-        (lengths, t, poly, bound_lo, bound_hi, bound_poly, tolf)
+        (lengths, t, poly, bound_lo, bound_hi, bound_poly, _SEARCH_TOL)
         for (lengths, t, *_), poly in zip(kept, polys)
     ]
     # the pool forks all its workers at once, so never more than the CPUs
@@ -789,7 +761,7 @@ def genus_candidates(
     else:
         notes.append("no (d, a) bound case covers g = 5; candidates listed unfiltered")
     if inconclusive:
-        notes.append(f"inconclusive root comparisons at tolerance {tolf}: {inconclusive}")
+        notes.append(f"inconclusive root comparisons at tolerance {_SEARCH_TOL}: {inconclusive}")
     notes.append(
         "odd rings contribute no palindromic polynomials "
         "(see verify_case_odd_diagonal)"
@@ -803,7 +775,7 @@ def genus_candidates(
             "g": g,
             "c_max": c_max,
             "m_window": f"[{window_lo}, {window_hi}]",
-            "tol": str(tolf),
+            "tol": str(_SEARCH_TOL),
         },
         total=len(candidates),
         eliminated={
@@ -818,10 +790,9 @@ def genus_candidates(
 
 def _ring_plus_one_tabulation(window_lo: int, window_hi: int) -> list[str]:
     """Desk-scale sweep of the (4,5) ring-plus-one-edge placements within the
-    dimension window, capped at the full-enumeration limit; tabulates any
-    palindromic findings."""
-    hi = min(window_hi, FULL_ENUMERATION_MAX_M)
-    if hi < max(window_lo, 5):
+    dimension window, which the caller caps at ``_RING_PLUS_ONE_M_MAX``;
+    tabulates any palindromic findings."""
+    if window_hi < window_lo:
         return [
             "(4,5) ring-plus-one-edge sweep skipped: the dimension window lies "
             "above the sweep cap"
@@ -829,8 +800,9 @@ def _ring_plus_one_tabulation(window_lo: int, window_hi: int) -> list[str]:
     total = 0
     palindromic = 0
     doubled_edge_palindromic = 0
-    for m in range(max(window_lo, 5), hi + 1):
-        for _, _, base in sweep_ring(4, m):
+    for m in range(window_lo, window_hi + 1):
+        for _, _, shape in _ring_shapes(4, m):
+            base = build_shape_nc(shape)
             polys = _edge_placement_coeffs(base.rows, char_poly_ct(base).coeffs)
             for i in range(m):
                 for j in range(m):
@@ -840,7 +812,7 @@ def _ring_plus_one_tabulation(window_lo: int, window_hi: int) -> list[str]:
                         palindromic += 1
                         if base.rows[i][j]:  # the placement doubles an existing edge
                             doubled_edge_palindromic += 1
-    notes = [f"(4,5) ring-plus-one-edge sweep over m in [{max(window_lo, 5)}, {hi}]: "
+    notes = [f"(4,5) ring-plus-one-edge sweep over m in [{window_lo}, {window_hi}]: "
              f"{total} placements, {palindromic} palindromic"]
     if palindromic:
         notes.append(

@@ -57,6 +57,7 @@ _GUESS_LEVELS = 6
 _NEWTON_STEPS = 20
 _COARSE_LEVEL = 10
 _FLOAT_BITS = 42
+_PF_MAX_ITER = 500_000
 
 
 @dataclass(frozen=True)
@@ -432,7 +433,7 @@ def count_roots_above(p: IntPolynomial, x: Fraction) -> int:
     )
 
 
-def pf_eigenvalue(d: MultiDigraph, tol=DEFAULT_TOL, max_iter: int = 500_000) -> RootResult:
+def pf_eigenvalue(d: MultiDigraph, tol=DEFAULT_TOL) -> RootResult:
     """Spectral radius bracket by power iteration with Collatz-Wielandt bounds.
 
     For primitive T and positive v, min_i (Tv)_i/v_i and max_i (Tv)_i/v_i
@@ -450,7 +451,7 @@ def pf_eigenvalue(d: MultiDigraph, tol=DEFAULT_TOL, max_iter: int = 500_000) -> 
     v = [1] * m
     best_lo = Fraction(0)
     best_hi = None
-    for _ in range(max_iter):
+    for _ in range(_PF_MAX_ITER):
         w = [sum(rows[i][j] * v[j] for j in range(m)) for i in range(m)]
         ratios = [Fraction(w[i], v[i]) for i in range(m)]
         lo, hi = min(ratios), max(ratios)
@@ -466,7 +467,7 @@ def pf_eigenvalue(d: MultiDigraph, tol=DEFAULT_TOL, max_iter: int = 500_000) -> 
             g = gcd(g, x)
         v = [x // g for x in w]
     raise RefinementLimitError(
-        f"Collatz-Wielandt bounds did not reach width {tolf} in {max_iter} iterations"
+        f"Collatz-Wielandt bounds did not reach width {tolf} in {_PF_MAX_ITER} iterations"
     )
 
 

@@ -4,15 +4,16 @@ from collections import Counter
 import pytest
 
 from perron.charpoly import (
-    _core_census,
+    _census_of_core,
     _edge_placement_coeffs,
     _edge_placement_matches,
     char_poly_ct,
     char_poly_oracle,
     enumerate_linear_subdigraphs,
 )
-from perron.digraph import MultiDigraph, _smooth, complexity, cycle_digraph
+from perron.digraph import MultiDigraph, complexity, cycle_digraph
 from perron.errors import ParameterRangeError, ResourceLimitError
+from perron.families import build_shape_nc
 from perron.fixtures import figure1, figure4
 from perron.polynomial import (
     IntPolynomial,
@@ -20,9 +21,10 @@ from perron.polynomial import (
     classify_palindrome,
     parse_polynomial,
 )
-from perron.search import sweep_ring, sweep_shape_11, sweep_shape_12, sweep_shape_22
+from perron.search import _chord_shapes, _ring_shapes
 
 from conftest import random_digraph
+from oracles import smooth
 
 FIG1_POLY = parse_polynomial("x^14 - x^8 - x^7 - x^6 + 1")
 FIG4_POLY = parse_polynomial("x^9 - 2x^8 + x^7 - 4x^5 + 4x^4 - x^2 + 2x - 1")
@@ -214,8 +216,6 @@ def test_no_spanning_cover_forces_bm_zero():
 def test_vertex_limits():
     with pytest.raises(ParameterRangeError):
         char_poly_ct(cycle_digraph(65))
-    with pytest.raises(ParameterRangeError):
-        char_poly_ct(cycle_digraph(15), max_m=14)
 
 
 def test_subdigraph_cap():
@@ -228,18 +228,17 @@ def test_subdigraph_cap():
 # ---------------------------------------------------------------------------
 
 def core_polynomial(d, cores=None):
-    b, _ = _core_census(d.rows, {} if cores is None else cores)
+    b, _ = _census_of_core(d.m, smooth(d.rows), {} if cores is None else cores)
     return IntPolynomial(tuple(b))
 
 
 def swept_digraphs(m):
     """Every digraph the verify sweeps build on m vertices: the (1,1), (1,2)
     and (2,2) shapes and the rings of three and of five cycles."""
-    yield from (d for _, d in sweep_shape_11(m))
-    yield from (d for _, d in sweep_shape_12(m))
-    yield from (d for *_, d in sweep_shape_22(m))
-    for n in (3, 5):
-        yield from (d for *_, d in sweep_ring(n, m))
+    yield from (build_shape_nc(s) for *_, s in _ring_shapes(1, m))
+    yield from (build_shape_nc(s) for _, s in _chord_shapes(m))
+    for n in (2, 3, 5):
+        yield from (build_shape_nc(s) for *_, s in _ring_shapes(n, m))
 
 
 def test_core_sum_matches_both_routes_on_every_small_swept_digraph():
@@ -280,15 +279,15 @@ def test_core_sum_matches_both_routes_on_random_multidigraphs(rng):
         randoms.append(MultiDigraph.from_rows(grid))
     for d in bare + randoms:
         assert core_polynomial(d) == char_poly_ct(d) == char_poly_oracle(d)
-        V, arcs, lengths, weights = _smooth(d.rows)
+        V, arcs, lengths, weights = smooth(d.rows)
         assert sum(weights) - V == complexity(d)
-    assert _smooth(bare[0].rows) == (1, [(0, 0)], [6], [1])
-    assert _smooth(bare[2].rows)[0] == 3  # two branch vertices and one kept from the 4-cycle
+    assert smooth(bare[0].rows) == (1, [(0, 0)], [6], [1])
+    assert smooth(bare[2].rows)[0] == 3  # two branch vertices and one kept from the 4-cycle
 
 
 def test_core_census_reports_the_largest_spanning_union(rng):
     for _ in range(40):
         d = random_digraph(rng, m_max=7)
-        _, most = _core_census(d.rows, {})
+        _, most = _census_of_core(d.m, smooth(d.rows), {})
         spanning = enumerate_linear_subdigraphs(d, d.m)
         assert most == (max(L.cycle_count for L in spanning) if spanning else None)

@@ -7,8 +7,8 @@ import pytest
 
 import perron.families
 import perron.spectral
-from perron.charpoly import _core_census, char_poly_ct, char_poly_oracle
-from perron.digraph import _smooth, complexity, is_primitive
+from perron.charpoly import _census_of_core, char_poly_ct, char_poly_oracle
+from perron.digraph import complexity, is_primitive
 from perron.errors import ParameterRangeError
 from perron.families import (
     Shape,
@@ -38,10 +38,9 @@ from perron.search import (
     _partitions_exact,
     _ring_shapes,
     genus_candidates,
-    sweep_ring,
-    sweep_shape_11,
-    sweep_shape_12,
 )
+
+from oracles import smooth
 
 
 def test_lt_examples():
@@ -218,7 +217,7 @@ def test_family_formulas_are_the_core_sum():
     core, with the cycle lengths as arc lengths."""
 
     def core_sum(d, cores):
-        return IntPolynomial(tuple(_core_census(d.rows, cores)[0]))
+        return IntPolynomial(tuple(_census_of_core(d.m, smooth(d.rows), cores)[0]))
 
     cores = {}
     for m in range(2, 17):
@@ -327,7 +326,7 @@ def test_shape_arcs_match_the_built_grid():
     swept = 0
     for n in range(1, 5):
         for m in range(n, 10):
-            for lengths, exits, _ in sweep_ring(n, m):
+            for lengths, exits, _ in _ring_shapes(n, m):
                 check(ring_shape(lengths, exits))
                 swept += 1
     assert swept > 1000
@@ -345,22 +344,19 @@ def test_shape_core_matches_the_smoothed_grid(rng):
     core vertices, arcs, arc lengths and weights, in the same order."""
     seen = Counter()
 
-    def check(shape, dg=None):
-        dg = build_shape_nc(shape) if dg is None else dg
-        assert shape._core() == _smooth(dg.rows), shape
+    def check(shape):
+        assert shape._core() == smooth(build_shape_nc(shape).rows), shape
         seen["checked"] += 1
 
     for n in range(1, 6):
         for m in range(n, 11):
-            for (lengths, exits, shape), (*head, dg) in zip(_ring_shapes(n, m), sweep_ring(n, m)):
-                assert head == [lengths, exits]
-                check(shape, dg)
+            for *_, shape in _ring_shapes(n, m):
+                check(shape)
     for m in range(1, 10):
-        for (_, _, shape), (_, dg) in zip(_ring_shapes(1, m), sweep_shape_11(m)):
-            check(shape, dg)
-        for (case, shape), (same, dg) in zip(_chord_shapes(m), sweep_shape_12(m)):
-            assert case == same
-            check(shape, dg)
+        for *_, shape in _ring_shapes(1, m):
+            check(shape)
+        for _, shape in _chord_shapes(m):
+            check(shape)
     assert seen["checked"] == 10_342
 
     for _ in range(5000):

@@ -87,3 +87,16 @@ def test_every_library_definition_is_named_elsewhere():
         for path in sorted((ROOT / folder).rglob("*.py"))
     ]
     assert _orphans(defining, naming) == []
+
+
+def test_every_private_library_definition_is_named_by_the_library():
+    """A private helper that only the tests call belongs with the tests: every
+    ``_``-prefixed function, class and method of the library must be named
+    again somewhere in ``src/`` or ``perfbench/``."""
+    defining = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    naming = [
+        path.read_text()
+        for folder in ("src", "perfbench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    ]
+    assert [name for name in _orphans(defining, naming) if name.startswith("_")] == []

@@ -15,14 +15,20 @@ import perron.spectral
 from perron.charpoly import char_poly_ct
 from perron.digraph import (
     MultiDigraph,
-    _smooth,
     canonical_form,
     complexity,
     cycle_digraph,
     is_strongly_connected,
 )
 from perron.errors import CounterexampleError, ParameterRangeError, ResourceLimitError
-from perron.families import _ring_polynomial, build_shape_22, c4_polynomial, hironaka_bound, lt_polynomial
+from perron.families import (
+    _ring_polynomial,
+    build_shape_22,
+    build_shape_nc,
+    c4_polynomial,
+    hironaka_bound,
+    lt_polynomial,
+)
 from perron.fixtures import figure4
 from perron.polynomial import IntPolynomial, _pdivmod, _sign_at, format_polynomial, parse_polynomial
 from perron.search import (
@@ -32,18 +38,18 @@ from perron.search import (
     count_realizations,
     enumerate_digraphs,
     genus_candidates,
-    sweep_ring,
-    sweep_shape_11,
-    sweep_shape_12,
-    sweep_shape_22,
     verify_case_c_le_2,
     verify_case_odd_diagonal,
+    _chord_shapes,
     _compositions,
     _partitions_le,
+    _ring_shapes,
     _weak_compositions,
     _decide_candidate,
 )
 from perron.spectral import largest_real_root
+
+from oracles import smooth
 
 
 def brute_force_class_count(m, c):
@@ -198,7 +204,8 @@ def test_shape_classes_equal_the_classes_of_every_rotation():
         for c in range(n, n + 3):
             for m in range(n, 6):
                 forms = set()
-                for *_, base in sweep_ring(n, m):
+                for *_, shape in _ring_shapes(n, m):
+                    base = build_shape_nc(shape)
                     for extra in itertools.combinations_with_replacement(range(m * m), c - n):
                         grid = [list(row) for row in base.rows]
                         for s in extra:
@@ -216,7 +223,6 @@ def test_count_realizations_checks_the_cap_before_building(monkeypatch):
     def no_rings(*args):
         raise AssertionError("a ring was built before the cap was checked")
 
-    monkeypatch.setattr(perron.search, "sweep_ring", no_rings)
     monkeypatch.setattr(perron.search, "_ring_shapes", no_rings)
     monkeypatch.setattr(perron.search, "build_shape_nc", no_rings)
     with pytest.raises(ResourceLimitError) as counted:
@@ -287,7 +293,8 @@ def test_every_ring_placement_has_the_ring_polynomial():
     placements = 0
     for n in range(1, 6):
         for m in range(n, 10):
-            for lengths, exits, dg in sweep_ring(n, m):
+            for lengths, exits, shape in _ring_shapes(n, m):
+                dg = build_shape_nc(shape)
                 assert char_poly_ct(dg) == ring_polynomial(lengths, exits), (lengths, exits)
                 placements += 1
     assert placements == 3587
@@ -319,20 +326,20 @@ def test_each_labelled_core_is_walked_once_per_sweep(monkeypatch):
     def labelled_cores(digraphs):
         keys = set()
         for d in digraphs:
-            V, arcs, _, _ = _smooth(d.rows)
+            V, arcs, _, _ = smooth(d.rows)
             keys.add((V, tuple(arcs)))
         return len(keys)
 
     c2_digraphs = [
-        d
+        build_shape_nc(s)
         for m in range(1, 7)
-        for d in itertools.chain(
-            (d for _, d in sweep_shape_11(m)),
-            (d for _, d in sweep_shape_12(m)),
-            (d for *_, d in sweep_shape_22(m)),
+        for s in itertools.chain(
+            (s for *_, s in _ring_shapes(1, m)),
+            (s for _, s in _chord_shapes(m)),
+            (s for *_, s in _ring_shapes(2, m)),
         )
     ]
-    ring_digraphs = [d for m in range(3, 8) for *_, d in sweep_ring(3, m)]
+    ring_digraphs = [build_shape_nc(s) for m in range(3, 8) for *_, s in _ring_shapes(3, m)]
     monkeypatch.setattr(perron.charpoly, "_weighted_cycles", counting)
     for sweep, digraphs in (
         (lambda: verify_case_c_le_2(6), c2_digraphs),
@@ -639,8 +646,9 @@ def test_count_realizations_builds_one_prefix_grid_per_ring(monkeypatch):
 
 
 def test_shape_sweeps_match_their_direct_constructions():
-    """The (1,1), (1,2) and (2,2) views over the ring builder yield the
-    placements of the direct constructions, in the same order."""
+    """The (1,1), (1,2) and (2,2) placements of the ring and chord generators,
+    built as digraphs, are those of the direct constructions, in the same
+    order."""
 
     def arc(m, u, v):
         return frozenset((u + t) % m for t in range((v - u) % m + 1))
@@ -668,9 +676,15 @@ def test_shape_sweeps_match_their_direct_constructions():
             for p in range(1, a1 + 1)
             for q in range(1, m - a1 + 1)
         ]
-        assert rows(sweep_shape_11(m)) == rows(shape_11)
-        assert rows(sweep_shape_12(m)) == rows(shape_12)
-        assert rows(sweep_shape_22(m)) == rows(shape_22)
+        swept_11 = [(s + 1, build_shape_nc(shape)) for _, (s,), shape in _ring_shapes(1, m)]
+        swept_12 = [(case, build_shape_nc(shape)) for case, shape in _chord_shapes(m)]
+        swept_22 = [
+            (a1, a2, e1 + 1, e2 + 1, build_shape_nc(shape))
+            for (a1, a2), (e1, e2), shape in _ring_shapes(2, m)
+        ]
+        assert rows(swept_11) == rows(shape_11)
+        assert rows(swept_12) == rows(shape_12)
+        assert rows(swept_22) == rows(shape_22)
 
 
 def test_compositions_match_their_recursive_definition():
