@@ -41,10 +41,9 @@ class LinearSubdigraph:
         return len(self.cycles)
 
 
-def _linear_subdigraph_census(
-    V: int, arcs, weights, cap: int = SUBDIGRAPH_CAP_DEFAULT, tree: bool = False
-):
-    """One walk over the linear subdigraphs of an arc list (see ``_weighted_cycles``).
+def _linear_subdigraph_census(V: int, arcs, weights, tree: bool = False):
+    """One walk over the linear subdigraphs of an arc list (see ``_weighted_cycles``),
+    at most ``SUBDIGRAPH_CAP_DEFAULT`` of them.
 
     Returns ``(b, cycles, levels)``.  ``b`` is the descending coefficient list
     indexed by arc count: b_i sums (-1)^(number of cycles) times the weight
@@ -59,8 +58,9 @@ def _linear_subdigraph_census(
     is position 0 of level 0) and the index of its last cycle.  Without it,
     ``levels`` is empty and nothing is stored per union.
     """
+    cap = SUBDIGRAPH_CAP_DEFAULT
     by_anchor: list[list[tuple[int, int, int, int]]] = [[] for _ in range(V)]
-    cycles = _weighted_cycles(V, arcs, weights, cap)
+    cycles = _weighted_cycles(V, arcs, weights)
     for k, (mask, anchor, path, weight) in enumerate(cycles):
         by_anchor[anchor].append((mask, len(path), weight, k))
 
@@ -232,15 +232,13 @@ def _check_ct_size(m: int):
         )
 
 
-def char_poly_ct(d: MultiDigraph, cap: int = SUBDIGRAPH_CAP_DEFAULT) -> IntPolynomial:
+def char_poly_ct(d: MultiDigraph) -> IntPolynomial:
     """Characteristic polynomial via the signed linear-subdigraph census."""
     _check_ct_size(d.m)
-    return IntPolynomial(tuple(_linear_subdigraph_census(*_grid_arcs(d.rows), cap)[0]))
+    return IntPolynomial(tuple(_linear_subdigraph_census(*_grid_arcs(d.rows))[0]))
 
 
-def enumerate_linear_subdigraphs(
-    d: MultiDigraph, i: int | None = None, cap: int = SUBDIGRAPH_CAP_DEFAULT
-) -> list[LinearSubdigraph]:
+def enumerate_linear_subdigraphs(d: MultiDigraph, i: int | None = None) -> list[LinearSubdigraph]:
     """All linear subdigraphs, one entry per distinct set of cycles.
 
     With ``i`` given, only those covering exactly i vertices are returned.
@@ -250,7 +248,7 @@ def enumerate_linear_subdigraphs(
     if d.m > CT_MAX_VERTICES:
         raise ParameterRangeError(f"supports at most {CT_MAX_VERTICES} vertices, got {d.m}")
     V, arcs, weights = _grid_arcs(d.rows)
-    _, walked, levels = _linear_subdigraph_census(V, arcs, weights, cap, tree=True)
+    _, walked, levels = _linear_subdigraph_census(V, arcs, weights, tree=True)
     cycles = [(_path_cycle(arcs, path), w) for _, _, path, w in walked]
     found = []
     unions = [LinearSubdigraph((), 1)]

@@ -96,14 +96,12 @@ class MultiDigraph:
             for j in compress(vertices, row):
                 yield i, j, row[j]
 
-    def with_edge(self, i: int, j: int, k: int = 1) -> "MultiDigraph":
-        """A copy with k more parallel edges i -> j."""
+    def with_edge(self, i: int, j: int) -> "MultiDigraph":
+        """A copy with one more parallel edge i -> j."""
         if not (0 <= i < self.m and 0 <= j < self.m):
             raise ParameterRangeError(f"edge ({i}, {j}) outside vertex range 0..{self.m - 1}")
-        if not isinstance(k, int) or k < 1:
-            raise ParameterRangeError("added multiplicity must be an integer >= 1")
         grid = [list(row) for row in self.rows]
-        grid[i][j] += k
+        grid[i][j] += 1
         return MultiDigraph._from_grid(grid)
 
     def permuted(self, perm) -> "MultiDigraph":
@@ -257,15 +255,16 @@ def _grid_arcs(rows):
     return len(rows), arcs, weights
 
 
-def _weighted_cycles(V: int, arcs, weights, cap: int = CYCLE_CAP_DEFAULT):
+def _weighted_cycles(V: int, arcs, weights):
     """All elementary cycles of an arc list as (vertex_mask, anchor, arc ids, weight).
 
     ``arcs[e]`` is the arc ``(u, v)`` on vertices 0..V-1 and ``weights[e]``
     its multiplicity; a dense grid is the case of one arc per non-zero entry
     (``_grid_arcs``).  Each cycle is listed once, from its anchor (minimal)
     vertex, as the ids of its arcs in order; its weight is the product of
-    their weights.  The total weight is capped.
+    their weights.  The total weight is capped at ``CYCLE_CAP_DEFAULT``.
     """
+    cap = CYCLE_CAP_DEFAULT
     out_arcs = [[] for _ in range(V)]
     for e, (u, v) in enumerate(arcs):
         out_arcs[u].append((v, e))
@@ -297,11 +296,11 @@ def _weighted_cycles(V: int, arcs, weights, cap: int = CYCLE_CAP_DEFAULT):
     return out
 
 
-def enumerate_elementary_cycles(d: MultiDigraph, cap: int = CYCLE_CAP_DEFAULT) -> list[Cycle]:
+def enumerate_elementary_cycles(d: MultiDigraph) -> list[Cycle]:
     """Every elementary cycle once per rotation class, repeated by edge multiplicity."""
     V, arcs, weights = _grid_arcs(d.rows)
     cycles = []
-    for _, _, path, weight in _weighted_cycles(V, arcs, weights, cap):
+    for _, _, path, weight in _weighted_cycles(V, arcs, weights):
         cycles.extend([_path_cycle(arcs, path)] * weight)
     return cycles
 

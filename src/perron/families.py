@@ -7,7 +7,7 @@ with one connecting edge from each cycle to the next around the ring.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, chain
 
@@ -81,12 +81,11 @@ class Shape:
 
         The core vertices are the attachment endpoints, in vertex order, then
         one for each cycle with no endpoint, whose arc is a loop of the
-        cycle's length.  Each endpoint's cycle arc runs to the next endpoint on
-        its cycle, its length the offset gap, and takes its place among the
-        endpoint's attachment arcs by the vertex it steps to first.
-        O(c log c) for c attachments.
+        cycle's length.  One walk takes each cycle's endpoints in turn: an
+        endpoint's cycle arc runs to the next endpoint on its cycle, wrapping
+        to the first, and takes its place among the endpoint's attachment arcs
+        by the vertex it steps to first.  O(c log c) for c attachments.
         """
-        lengths = self.cycle_lengths
         starts, extra = self._attachment_edges()
         out: dict[int, list[int]] = {}  # source -> its attachment targets
         for u, v in extra:
@@ -96,51 +95,38 @@ class Shape:
                 out[u] = [v]
         order = sorted({*out, *chain.from_iterable(out.values())})
         V = len(order)
-        order.append(starts[-1])  # past the last cycle
         arcs = []
         arc_lengths = []
         weights = []
         bare = []  # the lengths of the cycles with no endpoint
-        end = 0  # the end of the current endpoint's cycle
-        k = -1  # that cycle's index
-        for i, (u, w) in enumerate(zip(order, order[1:])):
-            if u >= end:  # the first endpoint on a new cycle
-                last, k = k, bisect_right(starts, u) - 1
-                bare += lengths[last + 1 : k]
-                start, end, length = starts[k], starts[k + 1], lengths[k]
-                first, first_u = i, u
-            if w < end:  # the cycle arc runs to the next endpoint
-                j, gap = i + 1, w - u
-            else:  # or round to the cycle's first
-                j, gap = first, first_u - u + length
-            targets = out.get(u)
-            if targets is None:
-                arcs.append((i, j))
-                arc_lengths.append(gap)
-                weights.append(1)
-                continue
-            step = u + 1 if u + 1 < end else start  # the cycle arc's first step
-            if len(targets) == 1 and targets[0] != step:  # the common row: two single edges
-                if targets[0] < step:
-                    arcs += (i, bisect_left(order, targets[0])), (i, j)
-                    arc_lengths += 1, gap
-                else:
-                    arcs += (i, j), (i, bisect_left(order, targets[0]))
-                    arc_lengths += gap, 1
-                weights += 1, 1
-                continue
-            targets.append(step)
-            targets.sort()
-            seen = -1
-            for v in targets:
-                if v == seen:  # a parallel edge
-                    weights[-1] += 1
+        i = 0  # the core index of the next endpoint
+        for start, l in zip(starts, self.cycle_lengths):
+            first, end = i, start + l
+            i = bisect_left(order, end, i)
+            if i == first:
+                bare.append(l)
+            for t in range(first, i):  # the cycle's endpoints are order[first:i]
+                u = order[t]
+                j = t + 1 if t + 1 < i else first
+                gap = (order[j] - u - 1) % l + 1
+                targets = out.get(u)
+                if targets is None:
+                    arcs.append((t, j))
+                    arc_lengths.append(gap)
+                    weights.append(1)
                     continue
-                seen = v
-                arcs.append((i, j) if v == step else (i, bisect_left(order, v)))
-                arc_lengths.append(gap if v == step else 1)
-                weights.append(1)
-        bare += lengths[k + 1 :]
+                step = u + 1 if u + 1 < end else start  # the cycle arc's first step
+                targets.append(step)
+                targets.sort()
+                seen = -1
+                for v in targets:
+                    if v == seen:  # a parallel edge
+                        weights[-1] += 1
+                        continue
+                    seen = v
+                    arcs.append((t, j) if v == step else (t, bisect_left(order, v)))
+                    arc_lengths.append(gap if v == step else 1)
+                    weights.append(1)
         for l in bare:
             arcs.append((V, V))
             arc_lengths.append(l)

@@ -426,7 +426,7 @@ def _plain_vertices(rows) -> set[int]:
     return {v for v, row in enumerate(rows) if sum(row) == 1 and sum(r[v] for r in rows) == 1}
 
 
-def _cores(c: int, v_max: int, cap: int) -> list[MultiDigraph]:
+def _cores(c: int, v_max: int) -> list[MultiDigraph]:
     """Strongly connected multi-digraphs with V + c edges on V <= min(2c, v_max)
     vertices and no in = out = 1 vertex: the smoothing cores, sorted by
     canonical form, each an unspecified member of its class.
@@ -446,9 +446,10 @@ def _cores(c: int, v_max: int, cap: int) -> list[MultiDigraph]:
             d.m * d.m * (min(v_max - d.m, 2 * left + 2 - len(plain)) + 1)
             for d, plain in zip(level, plains)
         )
-        if ears > cap:
+        if ears > ENUMERATION_CAP_DEFAULT:
             raise ResourceLimitError(
-                f"core growth estimate of {ears} ears exceeds cap {cap}", estimate=ears
+                f"core growth estimate of {ears} ears exceeds cap {ENUMERATION_CAP_DEFAULT}",
+                estimate=ears,
             )
         found: dict[bytes, MultiDigraph] = {}
         for d, plain in zip(level, plains):
@@ -469,31 +470,21 @@ def _cores(c: int, v_max: int, cap: int) -> list[MultiDigraph]:
 
 
 def _subdivide(core: MultiDigraph, assignment) -> MultiDigraph:
-    """Insert interior path vertices into the core's arcs per the assignment."""
-    V = core.m
-    extra = sum(sum(parts) for parts in assignment)
-    m = V + extra
+    """Lay one path [i, *new vertices, j] per parallel edge i -> j of the core,
+    with as many new vertices as the assignment gives that edge."""
+    m = core.m + sum(map(sum, assignment))
     grid = [[0] * m for _ in range(m)]
-    nxt = V
-    idx = 0
-    for i, j, k in core.edges():
-        parts = assignment[idx]
-        idx += 1
-        for t in range(k):
-            interior = parts[t]
-            if interior == 0:
-                grid[i][j] += 1
-            else:
-                chain = [i] + list(range(nxt, nxt + interior)) + [j]
-                nxt += interior
-                for u, v in zip(chain, chain[1:]):
-                    grid[u][v] += 1
+    nxt = core.m
+    for (i, j, _), parts in zip(core.edges(), assignment):
+        for interior in parts:
+            path = [i, *range(nxt, nxt + interior), j]
+            nxt += interior
+            for u, v in zip(path, path[1:]):
+                grid[u][v] += 1
     return MultiDigraph._from_grid(grid)
 
 
-def enumerate_digraphs(
-    m: int, c: int, n_cycles: int | None = None, cap: int = ENUMERATION_CAP_DEFAULT
-) -> list[MultiDigraph]:
+def enumerate_digraphs(m: int, c: int, n_cycles: int | None = None) -> list[MultiDigraph]:
     """All strongly connected multi-digraphs with m vertices and m + c edges,
     one unspecified member per isomorphism class, sorted by canonical form.
 
@@ -505,7 +496,7 @@ def enumerate_digraphs(
     if m < 1:
         raise ParameterRangeError("m must be >= 1")
     if n_cycles is not None:
-        return _enumerate_shape_classes(m, c, n_cycles, cap)
+        return _enumerate_shape_classes(m, c, n_cycles)
     if m > FULL_ENUMERATION_MAX_M:
         raise ParameterRangeError(
             f"full enumeration is capped at m <= {FULL_ENUMERATION_MAX_M}; "
@@ -516,14 +507,15 @@ def enumerate_digraphs(
     if c == 0:
         return [cycle_digraph(m)]
 
-    cores = _cores(c, m, cap)  # each on at most m vertices
+    cores = _cores(c, m)  # each on at most m vertices
     estimate = 0
     for core in cores:
         E = core.edge_count
         estimate += comb(m - core.m + E - 1, E - 1)
-    if estimate > cap:
+    if estimate > ENUMERATION_CAP_DEFAULT:
         raise ResourceLimitError(
-            f"subdivision space estimate {estimate} exceeds cap {cap}", estimate=estimate
+            f"subdivision space estimate {estimate} exceeds cap {ENUMERATION_CAP_DEFAULT}",
+            estimate=estimate,
         )
 
     reps: dict[bytes, MultiDigraph] = {}
@@ -541,7 +533,7 @@ def _check_shape_range(n: int, c: int):
         raise ParameterRangeError("shape-restricted enumeration needs 1 <= n <= c")
 
 
-def _ring_placements(m: int, c: int, n: int, cap: int):
+def _ring_placements(m: int, c: int, n: int):
     """The placements of the ring-arrangement sweep, grouped by all but the
     last extra edge.
 
@@ -564,6 +556,7 @@ def _ring_placements(m: int, c: int, n: int, cap: int):
     _check_shape_range(n, c)
     if m < n:
         return
+    cap = ENUMERATION_CAP_DEFAULT
     extra_edges = c - n
     placements = m * m
     # each ring walks placements**extra_edges placements, raised only until it
@@ -605,11 +598,11 @@ def _ring_placements(m: int, c: int, n: int, cap: int):
             yield MultiDigraph._from_grid(grid), range(prefix[-1], placements)
 
 
-def _enumerate_shape_classes(m: int, c: int, n: int, cap: int) -> list[MultiDigraph]:
+def _enumerate_shape_classes(m: int, c: int, n: int) -> list[MultiDigraph]:
     """Ring-arrangement sweep: n disjoint cycles joined in a ring, plus
     c - n extra edges placed anywhere, deduped by canonical form."""
     reps: dict[bytes, MultiDigraph] = {}
-    for dg, slots in _ring_placements(m, c, n, cap):
+    for dg, slots in _ring_placements(m, c, n):
         candidates = [dg] if slots is None else (dg.with_edge(*divmod(s, m)) for s in slots)
         for pl in candidates:
             reps.setdefault(canonical_form(pl), pl)
@@ -633,7 +626,7 @@ def count_realizations(p: IntPolynomial, n: int, c: int) -> int:
     if p.b(1) > 0 or p.coeffs[0] != 1:
         return 0  # every digraph's polynomial is monic with b_1 = -trace(T) <= 0
     forms = set()
-    for dg, slots in _ring_placements(m, c, n, ENUMERATION_CAP_DEFAULT):
+    for dg, slots in _ring_placements(m, c, n):
         q = char_poly_ct(dg)
         if slots is None:
             if q == p:
@@ -691,9 +684,9 @@ def genus_candidates(
     family root; g = 5 has no bound in this family, so candidates are listed
     with their roots unfiltered.
 
-    A candidate is held as its ring lengths until its ring sign at the bound's
-    upper end, read from those lengths, is known: the about three in four
-    that it eliminates never get a polynomial or a task.
+    A candidate is held as its plain ring data until its ring sign at the
+    bound's upper end, read from its lengths, is known: the about three in
+    four that it eliminates never get a polynomial, a task or a shape.
     """
     if g < 5:
         raise ParameterRangeError("genus_candidates needs g >= 5")
@@ -702,36 +695,27 @@ def genus_candidates(
     window_hi = 6 * g - 6 if m_max is None else min(m_max, 6 * g - 6)
     window_lo = 2 * g
     bound = hironaka_bound(g, _SEARCH_TOL) if g >= 6 else None
-
-    # (ring lengths, through length, info, ring shape builder and its
-    # arguments); only survivors get their shape built
-    candidates = []
-    if c_max >= 2:
-        for m in range(window_lo, window_hi + 1, 2):
-            d = m // 2
-            for a in range(1, d):
-                info = {"family": "lt", "d": d, "a": a, "m": m}
-                lengths = (a, 2 * d - a)
-                candidates.append((lengths, d, info, ring_shape, (lengths, (0, d - 2))))
-    if c_max >= 4:
-        for m in range(window_lo, window_hi + 1, 2):
-            d = m // 2
-            for parts in _partitions_exact(2 * d, 4, 2):
-                info = {"family": "c4", "d": d, "a": list(parts), "m": m}
-                candidates.append((parts, d, info, ring_shape_with_through, (parts, d)))
-
     if bound is None:
         bound_lo = bound_hi = bound_poly = None
-        kept = candidates
     else:
         bound_lo, bound_hi = bound.bound.lo, bound.bound.hi
         bound_poly = lt_polynomial(bound.d, bound.a)
         num, den = bound_hi.as_integer_ratio()
-        kept = [c for c in candidates if _ring_sign_at(c[0], c[1], num, den) >= 0]
-    polys = [_ring_polynomial(lengths, t) for lengths, t, *_ in kept]
+
+    # each candidate as (family, d, a, ring lengths), its through-cycle of length d
+    ds = range(g, window_hi // 2 + 1)
+    lt = (("lt", d, a, (a, 2 * d - a)) for d in ds for a in range(1, d)) if c_max >= 2 else ()
+    c4 = (("c4", d, a, a) for d in ds for a in _partitions_exact(2 * d, 4, 2)) if c_max >= 4 else ()
+    total = 0
+    kept = []
+    for family, d, a, lengths in itertools.chain(lt, c4):
+        total += 1
+        if bound is None or _ring_sign_at(lengths, d, num, den) >= 0:
+            kept.append((family, d, a, lengths))
+    polys = [_ring_polynomial(lengths, d) for _, d, _, lengths in kept]
     tasks = [
-        (lengths, t, poly, bound_lo, bound_hi, bound_poly, _SEARCH_TOL)
-        for (lengths, t, *_), poly in zip(kept, polys)
+        (lengths, d, poly, bound_lo, bound_hi, bound_poly, _SEARCH_TOL)
+        for (_, d, _, lengths), poly in zip(kept, polys)
     ]
     # the pool forks all its workers at once, so never more than the CPUs
     workers = min(jobs, os.cpu_count() or 1)
@@ -743,14 +727,17 @@ def genus_candidates(
 
     survivors = []
     inconclusive = 0
-    for (_, _, info, make_shape, args), poly, (status, lam) in zip(kept, polys, results):
-        if status == "survivor":
-            entry_info = dict(info)
-            entry_info["lambda"] = lam.decimal(5)
-            entry_info["m_minus_2g"] = info["m"] - 2 * g
-            survivors.append(SurvivorEntry(poly, make_shape(*args), entry_info))
-        else:
+    for (family, d, a, lengths), poly, (status, lam) in zip(kept, polys, results):
+        if status != "survivor":
             inconclusive += 1
+            continue
+        if family == "lt":
+            shape = ring_shape(lengths, (0, d - 2))
+        else:
+            a, shape = list(a), ring_shape_with_through(lengths, d)
+        info = {"family": family, "d": d, "a": a, "m": 2 * d, "lambda": lam.decimal(5)}
+        info["m_minus_2g"] = 2 * d - 2 * g
+        survivors.append(SurvivorEntry(poly, shape, info))
 
     notes = []
     if bound is not None:
@@ -777,9 +764,9 @@ def genus_candidates(
             "m_window": f"[{window_lo}, {window_hi}]",
             "tol": str(_SEARCH_TOL),
         },
-        total=len(candidates),
+        total=total,
         eliminated={
-            "lambda_above_bound": len(candidates) - len(kept),
+            "lambda_above_bound": total - len(kept),
             "inconclusive": inconclusive,
         },
         survivors=survivors,

@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+import perron.charpoly
 from perron.charpoly import (
     _census_of_core,
     _edge_placement_coeffs,
@@ -218,9 +219,10 @@ def test_vertex_limits():
         char_poly_ct(cycle_digraph(65))
 
 
-def test_subdigraph_cap():
+def test_subdigraph_cap(monkeypatch):
+    monkeypatch.setattr(perron.charpoly, "SUBDIGRAPH_CAP_DEFAULT", 3)
     with pytest.raises(ResourceLimitError):
-        char_poly_ct(figure1(), cap=3)
+        char_poly_ct(figure1())
 
 
 # ---------------------------------------------------------------------------

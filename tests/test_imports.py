@@ -43,16 +43,20 @@ def test_genus_search_imports_no_general_root_route():
     assert not names & {"largest_real_root", "count_roots_above", "descartes_roots_above"}
 
 
-def _definitions(source: str) -> list[str]:
+def _definition_nodes(source: str):
     """The top-level functions and classes of ``source`` and the methods of
-    its classes, dunders aside."""
+    its classes, each as ``(node, class)``, the class None for a top-level one."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    names = []
     for node in ast.parse(source).body:
         if isinstance(node, defs):
-            names.append(node.name)
+            yield node, None
         if isinstance(node, ast.ClassDef):
-            names += [n.name for n in node.body if isinstance(n, defs)]
+            yield from ((n, node) for n in node.body if isinstance(n, defs))
+
+
+def _definitions(source: str) -> list[str]:
+    """The names of ``_definition_nodes(source)``, dunders aside."""
+    names = [node.name for node, _ in _definition_nodes(source)]
     return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
 
 
@@ -100,3 +104,65 @@ def test_every_private_library_definition_is_named_by_the_library():
         for path in sorted((ROOT / folder).rglob("*.py"))
     ]
     assert [name for name in _orphans(defining, naming) if name.startswith("_")] == []
+
+
+def _unset_defaults(defining: list[str], calling: list[str]) -> list[str]:
+    """``function.parameter`` for each defaulted parameter of a function or
+    method defined in ``defining`` that some call in ``calling`` reaches (by
+    its plain or attribute name) but that no such call sets, by keyword or by
+    position.  A ``*`` or ``**`` argument sets no parameter, and neither does
+    a position after it; a method's positions count from the one after
+    ``self``, and ``__init__`` is reached by its class's name."""
+    calls: dict[str, list[tuple[int, set]]] = {}
+    for source in calling:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                starred = [isinstance(a, ast.Starred) for a in node.args] + [True]
+                keywords = {k.arg for k in node.keywords}
+                calls.setdefault(name, []).append((starred.index(True), keywords))
+    unset = []
+    for source in defining:
+        for node, owner in _definition_nodes(source):
+            name = owner.name if node.name == "__init__" else node.name
+            if isinstance(node, ast.ClassDef) or name not in calls:
+                continue
+            args = node.args
+            positional = (args.posonlyargs + args.args)[owner is not None :]
+            first = len(positional) - len(args.defaults)  # the first defaulted position
+            defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+            defaulted += [
+                (None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+            ]
+            for i, param in defaulted:
+                if not any(
+                    param in keywords or (i is not None and i < positions)
+                    for positions, keywords in calls[name]
+                ):
+                    unset.append(f"{node.name}.{param}")
+    return sorted(unset)
+
+
+def test_every_default_the_library_calls_is_set_by_some_call():
+    """A parameter that no library or benchmark call sets is a knob nobody
+    turns: every defaulted parameter of a library function that ``src/`` or
+    ``perfbench/`` calls must be set at one of those calls.  Public functions
+    the library never calls are not checked, and ``cli.run``'s ``out`` and
+    ``err`` are a seam for the tests."""
+    lib = (
+        "def f(a, b=1, *, c=None, d=2):\n    pass\n\n"
+        "def unused(e=0):\n    pass\n\n"
+        "class C:\n    def g(self, x=1, y=2):\n        pass\n"
+    )
+    caller = "f(0, 5, d=3)\nC().g(*xs)\n"
+    assert _unset_defaults([lib], [lib, caller]) == ["f.c", "g.x", "g.y"]
+
+    defining = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    calling = [
+        path.read_text()
+        for folder in ("src", "perfbench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    ]
+    seams = {"run.out", "run.err"}
+    assert [name for name in _unset_defaults(defining, calling) if name not in seams] == []

@@ -42,8 +42,10 @@ from perron.search import (
     verify_case_odd_diagonal,
     _chord_shapes,
     _compositions,
+    _cores,
     _partitions_le,
     _ring_shapes,
+    _subdivide,
     _weak_compositions,
     _decide_candidate,
 )
@@ -129,11 +131,12 @@ def test_enumerate_determinism():
     assert a == b
 
 
-def test_enumerate_m_limit_and_cap():
+def test_enumerate_m_limit_and_cap(monkeypatch):
     with pytest.raises(ParameterRangeError):
         enumerate_digraphs(15, 1)
+    monkeypatch.setattr(perron.search, "ENUMERATION_CAP_DEFAULT", 10)
     with pytest.raises(ResourceLimitError) as exc:
-        enumerate_digraphs(12, 2, cap=10)
+        enumerate_digraphs(12, 2)
     assert exc.value.estimate is not None and exc.value.estimate > 10
 
 
@@ -142,8 +145,9 @@ def test_enumerate_checks_the_core_cap_before_labelling(monkeypatch):
         raise AssertionError("a digraph was labelled before the cap was checked")
 
     monkeypatch.setattr(perron.search, "canonical_form", no_labels)
+    monkeypatch.setattr(perron.search, "ENUMERATION_CAP_DEFAULT", 10)
     with pytest.raises(ResourceLimitError) as exc:
-        enumerate_digraphs(12, 2, cap=10)
+        enumerate_digraphs(12, 2)
     assert exc.value.estimate is not None and exc.value.estimate > 10
 
 
@@ -155,6 +159,27 @@ def test_enumerate_classes_are_pinned():
         for d in enumerate_digraphs(m, c):
             digest.update(canonical_form(d))
     assert digest.hexdigest() == "d7e4f014d9d098d395e667ee8d478a5500172d8f32de2e1ed0b035cff5d1072d"
+
+
+def test_subdivision_smooths_back_to_its_core(rng):
+    """Smoothing a subdivided core gives back the core's arcs, each parallel
+    edge i -> j with interior new vertices as one arc of length interior + 1
+    (arcs of length 1 merge into one arc weighted by their count)."""
+    for core in _cores(3, 6):
+        edges = list(core.edges())
+        for _ in range(4):
+            assignment = [tuple(rng.randrange(4) for _ in range(k)) for _, _, k in edges]
+            V, arcs, lengths, weights = smooth(_subdivide(core, assignment).rows)
+            assert V == core.m
+            smoothed = Counter()
+            for arc, length, weight in zip(arcs, lengths, weights):
+                smoothed[arc, length] += weight
+            expected = Counter(
+                ((i, j), interior + 1)
+                for (i, j, _), parts in zip(edges, assignment)
+                for interior in parts
+            )
+            assert smoothed == expected, (core.rows, assignment)
 
 
 def test_enumerate_matches_brute_force_at_complexity_3():
