@@ -14,7 +14,14 @@ from itertools import accumulate, chain
 from .digraph import MultiDigraph
 from .errors import ParameterRangeError
 from .polynomial import IntPolynomial
-from .spectral import DEFAULT_TOL, RootResult, _cell_bracket, _positive_tol, largest_real_root
+from .spectral import (
+    DEFAULT_TOL,
+    RootResult,
+    _cauchy_bound,
+    _cell_bracket,
+    _positive_tol,
+    largest_real_root,
+)
 
 
 @dataclass(frozen=True)
@@ -200,7 +207,8 @@ def _ring_root(lengths, through: int, poly: IntPolynomial, tol) -> RootResult:
     count.  When no cell can be named, the general route gives the bracket.
     """
     cell = _cell_bracket(
-        poly,
+        poly.coeffs,
+        _cauchy_bound(poly),
         _positive_tol(tol),
         lambda num, den: _ring_sign_at(lengths, through, num, den),
         lambda x, count: True,  # by the lemma, every count it is asked for holds

@@ -255,6 +255,22 @@ def _trace_coeffs(cs) -> tuple[int, ...]:
     return tuple(q[::-1])
 
 
+def _untrace_coeffs(qs) -> list[int]:
+    """Descending coefficients of x^e q(x + 1/x), for the descending list qs
+    of q, of length e + 1; the inverse of ``_trace_coeffs``.
+
+    Horner in y = x + 1/x: with P the product for the top k coefficients of
+    q, x^(k+1) (Q y + c) = (x^2 + 1) P + c x^(k+1), since x y = x^2 + 1.
+    """
+    out = [qs[0]]
+    for k, c in enumerate(qs[1:]):
+        out = out + [0, 0]
+        for i in range(len(out) - 1, 1, -1):
+            out[i] += out[i - 2]
+        out[k + 1] += c
+    return out
+
+
 def _derivative(cs):
     d = len(cs) - 1
     return [c * (d - i) for i, c in enumerate(cs[:-1])]

@@ -5,9 +5,11 @@ Every polynomial sign here is an exact integer computation at a rational
 point.  Floating point appears only where nothing rests on it: in the estimate
 from which ``_cell_bracket`` names a bracket that exact signs and a certificate
 then confirm, and when a bracket is rendered as a decimal string.  The
-certificate is a Descartes count on the general route
-(``fast_bracket_at_least_one``); a ring polynomial needs none, since it has
-exactly one root above 1 (``families._ring_root``).
+certificate is a Descartes count: of p on the general route
+(``fast_bracket_at_least_one``), and of the squarefree part of p when p's top
+root is repeated (``largest_real_root``).  A ring polynomial needs none, since
+it has exactly one root above 1 (``families._ring_root``).  A bracket that no
+cell settles comes from Sturm counts (``_sturm_bracket``).
 
 A palindromic p of even degree 2d is p(x) = x^d q(x + 1/x) with q the integer
 trace polynomial of degree d (``IntPolynomial._trace``).  For x > 0 the sign
@@ -38,6 +40,7 @@ from .polynomial import (
     _pdivmod,
     _primitive,
     _sign_at,
+    _untrace_coeffs,
     eval_at_one,
     to_fraction,
 )
@@ -173,7 +176,12 @@ def descartes_roots_above(p: IntPolynomial, x: Fraction) -> int:
     whenever it returns 0 or 1."""
     x = to_fraction(x)
     cs, point = _view(p, x)
-    num, den = point(x.numerator, x.denominator)
+    return _shifted_variations(cs, *point(x.numerator, x.denominator))
+
+
+def _shifted_variations(cs, num: int, den: int) -> int:
+    """Sign variations of cs shifted to (num/den, oo): Descartes' bound on its
+    roots above num/den, counted with multiplicity, with their parity."""
     # scaled Taylor shift: den^d * f((num + y)/den) is an integer polynomial in y
     # whose positive roots correspond to roots of f above num/den
     work = [c * den**i for i, c in enumerate(cs)]
@@ -195,10 +203,18 @@ def _cauchy_bound(p: IntPolynomial) -> int:
 def largest_real_root(p: IntPolynomial, tol=DEFAULT_TOL) -> RootResult:
     """Certified bracket of width <= tol around the largest real root in [1, oo).
 
-    Tries ``fast_bracket_at_least_one`` first, which names the bracket from a
-    float estimate of the root and certifies it exactly.  When one of its
-    checks fails, bisects on exact Sturm counts; raises NoRootAtLeastOne when
-    those show no real root >= 1.  Both routes give the same bracket.
+    Three routes give the same bracket, and each is tried only when the one
+    before it declines:
+
+    1. ``fast_bracket_at_least_one`` names the cell on p itself from a float
+       estimate of the root and certifies it exactly; it needs p(1) < 0.
+    2. The same cell is named on the squarefree part q of p's ``_view``,
+       when q is a proper divisor and negative at 1: a repeated top root
+       makes p(1) >= 0 or defeats p's Descartes certificate, but it is a
+       simple root of q, whose Descartes counts certify the cell.  The
+       cell lies on p's grid and the result carries p's signs at its ends.
+    3. Bisection on exact Sturm counts of the same q; raises
+       NoRootAtLeastOne when those show no real root >= 1.
     """
     if p.degree < 1:
         raise ParameterRangeError("largest_real_root needs degree >= 1")
@@ -206,7 +222,23 @@ def largest_real_root(p: IntPolynomial, tol=DEFAULT_TOL) -> RootResult:
         raise ParameterRangeError("largest_real_root expects a monic polynomial")
     tolf = _positive_tol(tol)
     named = fast_bracket_at_least_one(p, tolf)
-    return named if named is not None else _sturm_bracket(p, tolf)
+    if named is not None:
+        return named
+    cs, point = _view(p)
+    q = _squarefree(cs)
+    if len(q) < len(cs) and _sign_at(q, *point(1, 1)) < 0:
+        cell = _cell_bracket(
+            q if point is _same_point else _untrace_coeffs(q),
+            _cauchy_bound(p),
+            tolf,
+            _sign_of(q, point),
+            lambda x, count: _shifted_variations(q, *point(x.numerator, x.denominator)) == count,
+        )
+        if cell is not None:
+            sign = _sign_of(cs, point)  # p's signs at the ends, not q's
+            lo, hi = cell.lo, cell.hi
+            return RootResult(lo, hi, sign(*lo.as_integer_ratio()), sign(*hi.as_integer_ratio()))
+    return _sturm_isolate(p, q, tolf)
 
 
 def fast_bracket_at_least_one(p: IntPolynomial, tol) -> RootResult | None:
@@ -217,7 +249,8 @@ def fast_bracket_at_least_one(p: IntPolynomial, tol) -> RootResult | None:
     if not p.is_monic or p.degree < 1 or eval_at_one(p) >= 0:
         return None
     return _cell_bracket(
-        p,
+        p.coeffs,
+        _cauchy_bound(p),
         _positive_tol(tol),
         _sign_of(*_view(p)),
         lambda x, count: descartes_roots_above(p, x) == count,
@@ -229,36 +262,39 @@ def _sign_of(cs, point):
     return lambda num, den: _sign_at(cs, *point(num, den))
 
 
-def _cell_bracket(p: IntPolynomial, tolf: Fraction, sign, certified) -> RootResult | None:
-    """The bracket of ``_sturm_bracket`` for a monic p with p(1) < 0, named
-    from a float estimate of its largest root r; None when no cell can be
-    named or the certificate declines.
+def _cell_bracket(cs, U: int, tolf: Fraction, sign, certified) -> RootResult | None:
+    """The bracket of ``_sturm_bracket`` for a polynomial f that is negative
+    at 1 and positive from the integer U on, named on the dyadic grid of
+    [1, U] from a float estimate of its largest root r; None when no cell can
+    be named or the certificate declines.  Its signs at the ends are f's.
 
-    ``sign(num, den)`` is the exact sign of p at num/den >= 1.
-    ``certified(x, count)`` may hold only when p has exactly ``count`` roots
-    above x, counted with multiplicity; it is asked with count 0 at a grid
-    point where p is 0, and with count 1 at a point x >= 1 at or below a cell
-    whose ends have signs -1 and +1.
+    ``cs`` are the coefficients of a polynomial with f's signs at every
+    x >= 1, from which floats estimate r.  ``sign(num, den)`` is the exact
+    sign of f at num/den >= 1.  ``certified(x, count)`` may hold only when f
+    has exactly ``count`` roots above x, counted with multiplicity; it is
+    asked with count 0 at a grid point where f is 0, and with count 1 at a
+    point x >= 1 at or below a cell whose ends have signs -1 and +1.
 
     The Sturm route ends on the level-K cell of the dyadic grid of [1, U] that
     holds r, where K is the first level whose cells are no wider than tolf,
-    unless a midpoint on its way is r itself.  The float estimate names a
-    level-K cell, or one of its two neighbours.  Signs -1 and +1 at the cell's
-    ends put a root inside it.  When exactly one root lies above the level-10
-    grid point at or below the cell, or else above the cell's lower end, that
-    root is simple, the largest, and not a grid point of level <= K, so the
-    Sturm route isolates r by level K and bisects to this cell.  A cell end
-    that is a root with no root above it is r and a midpoint on that way.
-    Floats do not resolve cells narrower than about r * 2^-42; below that the
-    deepest cell they resolve is named and certified the same way, and sign
-    bisection, which follows r inside it, finishes.
+    unless a midpoint on its way is r itself; it bisects the squarefree part
+    of f, so a cell named on that part is f's cell too.  The float estimate
+    names a level-K cell, or one of its two neighbours.  Signs -1 and +1 at
+    the cell's ends put a root inside it.  When exactly one root lies above
+    the level-10 grid point at or below the cell, or else above the cell's
+    lower end, that root is simple, the largest, and not a grid point of
+    level <= K, so the Sturm route isolates r by level K and bisects to this
+    cell.  A cell end that is a root with no root above it is r and a
+    midpoint on that way.  Floats do not resolve cells narrower than about
+    r * 2^-42; below that the deepest cell they resolve is named and
+    certified the same way, and sign bisection, which follows r inside it,
+    finishes.
     """
-    U = _cauchy_bound(p)
     n = U - 1  # the cell width at level k is n / 2^k
     tn, td = tolf.as_integer_ratio()
     last = (-(-n * td // tn) - 1).bit_length()  # the first k with n / 2^k <= tolf
     try:
-        r = _float_top_root(p, U)
+        r = _float_top_root(cs, U)
         if not isfinite(r):
             return None
         # the deepest level whose cells are at least r * 2^-_FLOAT_BITS wide
@@ -301,10 +337,10 @@ def _cell_bracket(p: IntPolynomial, tolf: Fraction, sign, certified) -> RootResu
     return RootResult(Fraction(a, 1 << k), Fraction(b, 1 << k), -1, 1)
 
 
-def _float_top_root(p: IntPolynomial, U: int) -> float:
-    """Float estimate of a root in [1, U] of p, which is negative at 1 and
-    positive at U: a few levels of float sign bisection, then Newton steps
-    kept inside the bracket.
+def _float_top_root(cs, U: int) -> float:
+    """Float estimate of a root in [1, U] of the polynomial p with descending
+    coefficients cs, which is negative at 1 and positive at U: a few levels of
+    float sign bisection, then Newton steps kept inside the bracket.
 
     Both read f(x) = p(x) / x^degree = sum of b_i x^-i, which has the signs
     and roots of p at x >= 1 and no term larger than its coefficient there,
@@ -313,7 +349,7 @@ def _float_top_root(p: IntPolynomial, U: int) -> float:
     near x = 1.  Returns nan when floats cannot evaluate f; raises
     OverflowError when a coefficient or U does not fit a float.
     """
-    terms = [(float(c), -i) for i, c in enumerate(p.coeffs) if c]
+    terms = [(float(c), -i) for i, c in enumerate(cs) if c]
     lo, hi = 1.0, float(U)
     for _ in range(_GUESS_LEVELS):
         x = (lo + hi) / 2
@@ -362,12 +398,17 @@ def _positive_tol(tol) -> Fraction:
 def _sturm_bracket(p: IntPolynomial, tolf: Fraction) -> RootResult:
     """Bisection on exact Sturm counts from the Cauchy bound down to an
     isolating interval, then on exact signs; p is monic of degree >= 1.
+    The reference that every named cell must equal.
 
     The endpoints are a/2^k and b/2^k, so only integer signs are computed.
     """
+    return _sturm_isolate(p, _squarefree(_view(p)[0]), tolf)
+
+
+def _sturm_isolate(p: IntPolynomial, q, tolf: Fraction) -> RootResult:
+    """``_sturm_bracket`` given q, the squarefree part of p's ``_view``."""
     U = _cauchy_bound(p)
     cs, point = _view(p)
-    q = _squarefree(cs)
     chain = _sturm_chain(q)
 
     v_lo, v_hi = _variations(chain, *point(1, 1)), _variations(chain, *point(U, 1))

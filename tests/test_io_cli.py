@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 from pathlib import Path
@@ -22,6 +23,7 @@ from perron.io import (
 from perron.polynomial import MAX_DEGREE
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +382,41 @@ def test_cli_search_report_is_pinned(args):
     code, out, err = invoke("search", *args)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == SEARCH_REPORT_DIGESTS[args]
+
+
+# SHA-256 of the joined stdout of ``root ... --bracket`` over each set of queries
+ROOT_BRACKET_DIGESTS = {
+    "root_search seed 1": "b550761f8fd49254cc185a87ffc43ade362e2d3389b7595b70a3dca5ea9e6c7c",
+    "repeated roots at 1e-300": "f134b31223beaf04e0b959b084fbbeb769d5ca57d03b433650b37e64582c1c6e",
+}
+
+
+def _root_bracket_queries(name):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    if name == "root_search seed 1":  # the 153 root queries of one benchmark pass
+        return [argv for argv, _ in workloads.inputs("root_search", 1) if argv[0] == "root"]
+    lt = workloads.lt_coeffs(5, 2)
+    c4 = workloads.c4_coeffs([2, 4, 3, 3])
+    polys = [
+        "x^4 - 2x^3 - x^2 + 2x + 1",  # (x^2 - x - 1)^2
+        "x^3 - 6x^2 + 12x - 8",  # (x - 2)^3
+        "x^3 - 3x^2 + 4",  # (x - 2)^2 (x + 1)
+        workloads.format_poly(workloads.mul_coeffs(lt, lt)),
+        workloads.format_poly(workloads.mul_coeffs(workloads.mul_coeffs(c4, c4), [1, 1])),
+    ]
+    return [["root", text, "--tol", "1e-300", "--bracket"] for text in polys]
+
+
+@pytest.mark.parametrize("name", list(ROOT_BRACKET_DIGESTS))
+def test_cli_root_brackets_are_pinned(name):
+    digest = hashlib.sha256()
+    for argv in _root_bracket_queries(name):
+        code, out, err = invoke(*argv)
+        assert (code, err) == (0, ""), argv
+        digest.update(out.encode())
+    assert digest.hexdigest() == ROOT_BRACKET_DIGESTS[name]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ from perron.polynomial import (
     format_polynomial,
     parse_polynomial,
     _pdivmod,
+    _trace_coeffs,
+    _untrace_coeffs,
 )
 
 FIG1 = IntPolynomial((1, 0, 0, 0, 0, 0, -1, -1, -1, 0, 0, 0, 0, 0, 1))
@@ -161,10 +163,14 @@ def test_trace_polynomial_identity(half, lead):
     assert q.degree == d
     for x in (Fraction(3, 2), Fraction(-2, 7), Fraction(5), Fraction(1), Fraction(-1)):
         assert p(x) == x**d * q(x + 1 / x)
+    # expanding x^d q(x + 1/x) back gives p, and every q is the trace of its expansion
+    assert _untrace_coeffs(q.coeffs) == list(cs)
+    assert _trace_coeffs(_untrace_coeffs(half)) == tuple(half)
 
 
 def test_trace_polynomial_examples():
     assert IntPolynomial((1, 0, 0, 0, 1))._trace == (1, 0, -2)  # x^2 + x^-2 = y^2 - 2
+    assert _untrace_coeffs((1, 0, -2)) == [1, 0, 0, 0, 1]
     assert IntPolynomial((1, -3, 1))._trace == (1, -3)
     assert IntPolynomial((7,))._trace == (7,)
     # x^7 + x^-7 - (x + 1/x) - 1 = (y^7 - 7y^5 + 14y^3 - 7y) - y - 1

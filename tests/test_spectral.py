@@ -18,7 +18,7 @@ from perron.errors import (
 )
 from perron.families import build_shape_22, c4_polynomial, lt_polynomial
 from perron.fixtures import figure1
-from perron.polynomial import IntPolynomial, eval_at_one, parse_polynomial
+from perron.polynomial import IntPolynomial, _sign_at, eval_at_one, parse_polynomial
 from perron.search import _partitions_exact
 from perron.spectral import (
     RootResult,
@@ -33,6 +33,7 @@ from perron.spectral import (
     _same_point,
     _sign_bisection,
     _sign_of,
+    _squarefree,
     _sturm_bracket,
     _trace_point,
     _view,
@@ -554,8 +555,8 @@ def _count_calls(monkeypatch, name):
 
 
 def test_named_cell_brackets_equal_the_sturm_route(monkeypatch):
-    fallbacks = _count_calls(monkeypatch, "_sturm_bracket")
-    brackets = 0
+    chains = _count_calls(monkeypatch, "_sturm_chain")
+    brackets = fallbacks = 0
     for p in _named_cell_cases():
         for tol in NAMED_TOLS:
             try:
@@ -564,12 +565,15 @@ def test_named_cell_brackets_equal_the_sturm_route(monkeypatch):
                 with pytest.raises(NoRootAtLeastOne):
                     largest_real_root(p, tol)
                 continue
+            built = len(chains)
             assert largest_real_root(p, tol) == expected, (p, tol)  # lo, hi and both signs
             brackets += 1
+            fallbacks += len(chains) > built
     # the named cell settles the families, the random cases with p(1) < 0 and
-    # the dyadic root 2 at every tolerance; the squared and fast-path-declining
-    # inputs fall to the Sturm route
-    assert brackets - len(fallbacks) == 19 * len(NAMED_TOLS)
+    # the dyadic root 2 at every tolerance, and on the squarefree part the two
+    # squared inputs and the two fast-path-declining ones with a repeated root;
+    # the two squarefree fast-path-declining inputs fall to the Sturm route
+    assert brackets - fallbacks == 23 * len(NAMED_TOLS)
 
 
 def test_named_cell_rests_on_no_float_estimate(monkeypatch):
@@ -654,16 +658,63 @@ def test_named_cell_settles_the_benchmark_root_queries(monkeypatch):
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    # the LT and c4 queries; each squared-LT query is certified by its factor
-    simple = []
-    for argv, expect in workloads.inputs("root_search", 1):
-        if argv[0] == "root":
-            p = parse_polynomial(argv[1])
-            if list(p.coeffs) == list(expect["factor"]):
-                simple.append(p)
-    assert len(simple) == 102
+    # the LT and c4 queries and the squared-LT ones, whose top root is double
+    polys = [parse_polynomial(argv[1]) for argv, _ in workloads.inputs("root_search", 1) if argv[0] == "root"]
+    assert len(polys) == 153
     tol = Fraction(workloads.ROOT_TOL)
+    chains = _count_calls(monkeypatch, "_sturm_chain")
     calls = _count_calls(monkeypatch, "_sign_bisection")
-    for p in simple:
+    for p in polys:
         largest_real_root(p, tol)
-    assert calls == []
+    assert chains == [] and calls == []
+
+
+# ---------------------------------------------------------------------------
+# the named cell on the squarefree part: a repeated top root is a simple root
+# of the squarefree part q of p's view, which names and certifies the cell
+# ---------------------------------------------------------------------------
+
+
+def _repeated_root_cases():
+    lt, c4 = lt_polynomial(7, 3).coeffs, c4_polynomial(6, (2, 4, 3, 3)).coeffs
+    cases = [
+        _mul(lt, lt),
+        _mul(c4, c4),
+        [1, -6, 12, -8],  # (x - 2)^3
+        [1, -3, 0, 4],  # (x - 2)^2 (x + 1)
+        _mul(_mul(lt, lt), [1, 1]),  # palindromic of odd degree: read at x
+    ]
+    # f^2 (x + c) for seeded random monic f with f(1) < 0 and c >= 0: the top
+    # root is a double root of f; of odd degree, so read at x
+    rng = random.Random(24)
+    for _ in range(6):
+        f = [1] + [rng.randint(-4, 4) for _ in range(rng.randint(1, 5))]
+        f[-1] -= sum(f) + rng.randint(1, 3)
+        cases.append(_mul(_mul(f, f), [1, rng.randint(0, 3)]))
+    return [IntPolynomial(tuple(cs)) for cs in cases]
+
+
+def test_named_cell_on_the_squarefree_part_equals_the_sturm_route(monkeypatch):
+    chains = _count_calls(monkeypatch, "_sturm_chain")
+    for p in _repeated_root_cases():
+        cs, point = _view(p)
+        q = _squarefree(cs)
+        assert len(q) < len(cs) and _sign_at(q, *point(1, 1)) < 0, p
+        for tol in NAMED_TOLS:
+            expected = _sturm_bracket(p, tol)
+            built = len(chains)
+            assert largest_real_root(p, tol) == expected, (p, tol)  # lo, hi and both signs
+            assert len(chains) == built, (p, tol)  # no Sturm chain
+
+
+def test_named_cell_on_the_squarefree_part_rests_on_no_float_estimate(monkeypatch):
+    # whatever the estimate, a repeated-root query gets the Sturm route's bracket
+    guess = []
+    monkeypatch.setattr(perron.spectral, "_float_top_root", lambda cs, U: guess[-1])
+    for p in _repeated_root_cases():
+        for tol in NAMED_TOLS[:5]:
+            expected = _sturm_bracket(p, tol)
+            r = float(expected.lo)
+            for x in (1.0, 2.0, 4.0, r / 2, r * 0.99, r - 1e-9, r, r + 1e-9, r * 1.01, 2 * r, nan):
+                guess.append(x)
+                assert largest_real_root(p, tol) == expected, (p, tol, x)
