@@ -99,6 +99,22 @@ def _linear_subdigraph_census(V: int, arcs, weights, tree: bool = False):
     return b, cycles, levels
 
 
+def _core_tree(core, cores: dict):
+    """The ``(paths, levels)`` union tree of a smoothed core ``(V, arcs,
+    lengths, weights)`` (see ``Shape._core``): each cycle's arc ids, and the
+    levels of one unit-weight ``_linear_subdigraph_census`` walk.  ``cores``
+    maps each labelled core ``(V, arcs)`` to its tree; a missing core is
+    walked once and added, so a caller that keeps one dict over a sweep walks
+    each core once."""
+    V, arcs, _, _ = core
+    key = (V, tuple(arcs))
+    tree = cores.get(key)
+    if tree is None:
+        _, cycles, levels = _linear_subdigraph_census(V, arcs, [1] * len(arcs), tree=True)
+        tree = cores[key] = [path for _, _, path, _ in cycles], levels
+    return tree
+
+
 def _census_of_core(m: int, core, cores: dict):
     """The descending charpoly coefficients of a digraph on m vertices, summed
     over its smoothed core ``(V, arcs, lengths, weights)`` (see ``Shape._core``).
@@ -106,19 +122,11 @@ def _census_of_core(m: int, core, cores: dict):
     Returns ``(b, most)``: b_i sums (-1)^(cycles) times the weight product
     over the core's unions whose arc lengths total i, and ``most`` is the
     largest cycle count of a spanning union (total length m), None if there
-    is none.  ``cores`` maps each labelled core ``(V, arcs)`` to the
-    ``(paths, levels)`` union tree of one unit-weight census walk (each
-    cycle's arc ids, and the levels of ``_linear_subdigraph_census``); a missing
-    core is walked once and added, so a caller that keeps one dict over a
-    sweep walks each core once.
+    is none.  The unions come from the core's tree in ``cores`` (see
+    ``_core_tree``).
     """
-    V, arcs, lengths, weights = core
-    key = (V, tuple(arcs))
-    tree = cores.get(key)
-    if tree is None:
-        _, cycles, levels = _linear_subdigraph_census(V, arcs, [1] * len(arcs), tree=True)
-        tree = cores[key] = [path for _, _, path, _ in cycles], levels
-    paths, levels = tree
+    _, _, lengths, weights = core
+    paths, levels = _core_tree(core, cores)
     # each cycle's length and weight: the sum and product over its arcs
     cycle_len = list(map(sum, map(map, repeat(lengths.__getitem__), paths)))
     weighted = weights.count(1) != len(weights)  # most swept digraphs have no multiple edge

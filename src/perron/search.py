@@ -10,15 +10,17 @@ from __future__ import annotations
 
 import itertools
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
 from operator import sub
 
 from .charpoly import (
     char_poly_ct,
     _census_of_core,
+    _core_tree,
     _edge_placement_coeffs,
     _edge_placement_matches,
 )
@@ -221,6 +223,39 @@ def _chord_shapes(m: int):
                 yield case, Shape._unchecked((m,), ring.attachments + ((0, s2, 0, t2),))
 
 
+def _ring_classes(n: int, m: int):
+    """The ring placements of ``_ring_shapes(n, m)`` grouped by cycle-length
+    class, each as ``(lengths, exits, size, ring shape)``.
+
+    A ring's cycles are its n disjoint cycles, of lengths l_k, and one
+    through-cycle of length t = sum(e_k + 1) that meets each of them, so its
+    polynomial depends only on the lengths as a multiset and on t.  One class
+    per non-decreasing ``lengths`` (a partition of m into n parts) and per
+    n <= t <= m, in sweep order; ``lengths`` and ``exits`` name its first
+    placement, the lengths in ascending order with the lexicographically
+    least exits whose e_k + 1 sum to t.  ``size`` counts its placements: the
+    distinct orderings of the lengths times the coefficient of x^(t - n) in
+    prod_k (1 + x + ... + x^(l_k - 1)), the exits with 0 <= e_k < l_k that
+    sum to t - n.
+    """
+    for lengths in _compositions(m, n):
+        if lengths != tuple(sorted(lengths)):
+            continue  # the ascending ordering stands for all orderings of its lengths
+        orderings = factorial(n) // prod(map(factorial, Counter(lengths).values()))
+        ways = [1]  # ways[s]: the exits of the lengths so far with sum s
+        for l in lengths:
+            ways = [sum(ways[max(0, s - l + 1) : s + 1]) for s in range(len(ways) + l - 1)]
+        for t, count in enumerate(ways, n):
+            need = t - n
+            exits = []
+            for l in reversed(lengths):  # the least exits fill from the last cycle
+                exits.append(min(l - 1, need))
+                need -= exits[-1]
+            exits = tuple(reversed(exits))
+            ring = Shape._unchecked(lengths, _ring_attachments(exits))
+            yield lengths, exits, orderings * count, ring
+
+
 # ---------------------------------------------------------------------------
 # case-analysis verification sweeps
 # ---------------------------------------------------------------------------
@@ -243,13 +278,33 @@ def _census_checks(shape: Shape, cores: dict) -> IntPolynomial:
     return p
 
 
-def _check_placement(key: str, m: int, shape: Shape, cores: dict, p1_counts: dict, p1=-1):
-    """Check one placement whose polynomial is neither palindromic nor
-    antipalindromic: the census checks, then p(1) (tallied in ``p1_counts``)
-    must be ``p1`` and the class must be neither."""
-    p = _census_checks(shape, cores)
+def _ring_class_census(lengths, exits, ring: Shape, cores: dict) -> IntPolynomial:
+    """``_census_checks`` on the first placement of a ring class (see
+    ``_ring_classes``), once its core's own union tree shows the class's
+    cycles: n + 1 of them, of lengths l_k and t = sum(e_k + 1).  A core cycle
+    counts as often as the product of its arc weights: the one-cycle ring
+    whose through-cycle is the whole cycle doubles that cycle's last edge."""
+    core = ring._core()
+    _, _, arc_lengths, weights = core
+    paths, _ = _core_tree(core, cores)
+    cycles = sorted(
+        itertools.chain.from_iterable(
+            [sum(map(arc_lengths.__getitem__, path))] * prod(map(weights.__getitem__, path))
+            for path in paths
+        )
+    )
+    if cycles != sorted((*lengths, len(exits) + sum(exits))):
+        raise CounterexampleError(f"ring {lengths} with exits {exits} has cycles {cycles}")
+    return _census_checks(ring, cores)
+
+
+def _check_placement(key: str, m: int, p: IntPolynomial, instances: int, p1_counts: dict, p1: int):
+    """Check the polynomial of one placement, or of each of the ``instances``
+    placements of a ring class, that must be neither palindromic nor
+    antipalindromic: p(1) (tallied ``instances`` times in ``p1_counts``) must
+    be ``p1`` and the class must be neither."""
     value = eval_at_one(p)
-    p1_counts[value] = p1_counts.get(value, 0) + 1
+    p1_counts[value] = p1_counts.get(value, 0) + instances
     if value != p1:
         raise CounterexampleError(f"{key} placement on m={m} has p(1) = {value}, expected {p1}")
     if classify_palindrome(p) is not PalindromeClass.NEITHER:
@@ -268,6 +323,13 @@ def verify_case_c_le_2(m_max: int) -> SearchReport:
     through both chords exists, a case outside the two-case analysis and
     reported separately); (2,2) palindromic survivors are exactly the LT
     expressions.  Any violation raises CounterexampleError.
+
+    The (2,2) rings are checked once per cycle-length class of
+    ``_ring_classes``, on its first placement, which counts for the class's
+    size in the totals and in its palindromic class's instances; primitivity
+    too depends only on the class (gcd(a1, a2, t)).  The (1,1) and (1,2)
+    chord placements are checked one by one: which of their cycles meet is
+    the case analysis under test, so grouping them would assume it.
     """
     if not 1 <= m_max <= FULL_ENUMERATION_MAX_M:
         raise ParameterRangeError(f"verify_case_c_le_2 needs 1 <= m_max <= {FULL_ENUMERATION_MAX_M}")
@@ -294,14 +356,15 @@ def verify_case_c_le_2(m_max: int) -> SearchReport:
         )
         for key, shape in chords:
             total += 1
-            _check_placement(key, m, shape, cores, p1_distribution, expected_p1[key])
+            p = _census_checks(shape, cores)
+            _check_placement(key, m, p, 1, p1_distribution, expected_p1[key])
             eliminated["neither_class"] += 1
 
-        for (a1, a2), (e1, e2), ring in _ring_shapes(2, m):
-            total += 1
+        for (a1, a2), (e1, e2), size, ring in _ring_classes(2, m):
+            total += size
             pp, qq = e1 + 1, e2 + 1
             shape = f"({a1},{a2},{pp},{qq})"
-            p = _census_checks(ring, cores)
+            p = _ring_class_census((a1, a2), (e1, e2), ring, cores)
             if p != two_cycle_polynomial(a1, a2, pp + qq):
                 raise CounterexampleError(f"(2,2) shape {shape} violates the two-cycle formula")
             cls = classify_palindrome(p)
@@ -312,12 +375,12 @@ def verify_case_c_le_2(m_max: int) -> SearchReport:
                     f"(2,2) shape {shape}: palindromic iff m = 2d and a3 = d fails"
                 )
             if cls is not PalindromeClass.PALINDROMIC:
-                eliminated["neither_class"] += 1
+                eliminated["neither_class"] += size
                 continue
             rec = palindromic.get(p.coeffs)
             if rec is None:
                 rec = palindromic[p.coeffs] = {"count": 0, "ring": ring, "primitive": False}
-            rec["count"] += 1
+            rec["count"] += size
             if not rec["primitive"] and is_primitive(build_shape_nc(ring)):
                 rec["primitive"] = True
 
@@ -383,7 +446,10 @@ def verify_case_odd_diagonal(k: int, m_max: int) -> SearchReport:
 
     Every ring of n cycles has p(x) = prod(x^l_k - 1) - x^(m - t), t the
     through-cycle's length: a cycle that uses a ring arc uses all n of them,
-    so the through-cycle is the only cycle besides the ring's own.
+    so the through-cycle is the only cycle besides the ring's own.  So each
+    cycle-length class of ``_ring_classes`` is checked once, on its first
+    placement, once that placement's own union tree shows the class's
+    cycles, and counts for its size in the total and the p(1) tally.
     """
     if k < 0 or 2 * k + 1 > 5:
         raise ParameterRangeError("verify_case_odd_diagonal needs k >= 0 with 2k+1 <= 5")
@@ -396,9 +462,10 @@ def verify_case_odd_diagonal(k: int, m_max: int) -> SearchReport:
 
     key = f"({n},{n}) ring"
     for m in range(n, m_max + 1):
-        for _, _, ring in _ring_shapes(n, m):
-            total += 1
-            _check_placement(key, m, ring, cores, p1_distribution)
+        for lengths, exits, size, ring in _ring_classes(n, m):
+            total += size
+            p = _ring_class_census(lengths, exits, ring, cores)
+            _check_placement(key, m, p, size, p1_distribution, -1)
 
     report = SearchReport(
         parameters={"op": "verify_odd_diagonal", "k": k, "n": n, "c": n, "m_max": m_max},

@@ -12,7 +12,7 @@ import perron.charpoly
 import perron.polynomial
 import perron.search
 import perron.spectral
-from perron.charpoly import char_poly_ct
+from perron.charpoly import _census_of_core, char_poly_ct
 from perron.digraph import (
     MultiDigraph,
     canonical_form,
@@ -44,6 +44,7 @@ from perron.search import (
     _compositions,
     _cores,
     _partitions_le,
+    _ring_classes,
     _ring_shapes,
     _subdivide,
     _weak_compositions,
@@ -338,8 +339,10 @@ def test_odd_ring_sweep_requires_p1_minus_one_and_neither_class(monkeypatch):
 
 
 def test_each_labelled_core_is_walked_once_per_sweep(monkeypatch):
-    """A sweep walks the cycles of each distinct labelled core once, and keeps
-    no cores after it returns: a second run walks them all again."""
+    """A sweep walks the cycles of each distinct labelled core that it checks
+    once: those of every chord placement and of the first placement of each
+    ring class.  It keeps no cores after it returns: a second run walks them
+    all again."""
     calls = 0
     walk = perron.charpoly._weighted_cycles
 
@@ -348,34 +351,80 @@ def test_each_labelled_core_is_walked_once_per_sweep(monkeypatch):
         calls += 1
         return walk(*args, **kwargs)
 
-    def labelled_cores(digraphs):
+    def labelled_cores(shapes):
         keys = set()
-        for d in digraphs:
-            V, arcs, _, _ = smooth(d.rows)
+        for s in shapes:
+            V, arcs, _, _ = smooth(build_shape_nc(s).rows)
             keys.add((V, tuple(arcs)))
         return len(keys)
 
-    c2_digraphs = [
-        build_shape_nc(s)
+    c2_placements = sum(
+        len(list(_ring_shapes(1, m))) + len(list(_chord_shapes(m))) + len(list(_ring_shapes(2, m)))
+        for m in range(1, 7)
+    )
+    c2_checked = [
+        s
         for m in range(1, 7)
         for s in itertools.chain(
             (s for *_, s in _ring_shapes(1, m)),
             (s for _, s in _chord_shapes(m)),
-            (s for *_, s in _ring_shapes(2, m)),
+            (s for *_, s in _ring_classes(2, m)),
         )
     ]
-    ring_digraphs = [build_shape_nc(s) for m in range(3, 8) for *_, s in _ring_shapes(3, m)]
+    ring_placements = sum(len(list(_ring_shapes(3, m))) for m in range(3, 8))
+    ring_checked = [s for m in range(3, 8) for *_, s in _ring_classes(3, m)]
     monkeypatch.setattr(perron.charpoly, "_weighted_cycles", counting)
-    for sweep, digraphs in (
-        (lambda: verify_case_c_le_2(6), c2_digraphs),
-        (lambda: verify_case_odd_diagonal(1, 7), ring_digraphs),
+    for sweep, placements, checked in (
+        (lambda: verify_case_c_le_2(6), c2_placements, c2_checked),
+        (lambda: verify_case_odd_diagonal(1, 7), ring_placements, ring_checked),
     ):
-        cores = labelled_cores(digraphs)
+        cores = labelled_cores(checked)
         for _ in range(2):
             calls = 0
             report = sweep()
-            assert report.total == len(digraphs)
+            assert report.total == placements
             assert calls == cores < report.total
+
+
+def test_ring_classes_partition_the_ring_placements():
+    """Grouped by (sorted lengths, through length), the ring placements are
+    the classes of ``_ring_classes``: the same groups in the same order, of
+    the same sizes, each named by its first placement, and every placement
+    has its class's polynomial."""
+    for n in range(1, 6):
+        for m in range(n, 12):
+            groups = {}
+            for lengths, exits, shape in _ring_shapes(n, m):
+                key = (tuple(sorted(lengths)), n + sum(exits))
+                groups.setdefault(key, []).append((lengths, exits, shape))
+            classes = list(_ring_classes(n, m))
+            assert [
+                (key, len(members), members[0]) for key, members in groups.items()
+            ] == [
+                ((lengths, n + sum(exits)), size, (lengths, exits, shape))
+                for lengths, exits, size, shape in classes
+            ], (n, m)
+            cores = {}
+            for (lengths, exits, _, shape), members in zip(classes, groups.values()):
+                first = _census_of_core(m, shape._core(), cores)[0]
+                for *_, member in members:
+                    assert _census_of_core(m, member._core(), cores)[0] == first, (lengths, exits)
+
+
+def test_ring_sweeps_read_each_class_key_off_its_union_tree(monkeypatch):
+    """A class whose first placement has other cycles than its lengths and
+    exits name is refused, in both ring sweeps."""
+    classes = perron.search._ring_classes
+
+    def mislabelled(n, m):
+        found = list(classes(n, m))
+        for (lengths, exits, size, _), (*_, ring) in zip(found, found[1:] + found[:1]):
+            yield lengths, exits, size, ring
+
+    monkeypatch.setattr(perron.search, "_ring_classes", mislabelled)
+    for sweep in (lambda: verify_case_c_le_2(4), lambda: verify_case_odd_diagonal(1, 5)):
+        with pytest.raises(CounterexampleError, match=r"^ring \(.*\) with exits \(.*\) has cycles"):
+            sweep()
 
 
 def test_genus_candidates_g11():
@@ -791,6 +840,14 @@ VERIFY_REPORT_DIGESTS = {
     ("odd", 2, 12): (
         "08616a486487d542d832f83b4e86feaec7ac64f6574123418bc2e3ae1620048b",
         "fc6abbadff55ec38cca89c1e8894afec88b5028eead175858d3dcaaf9e4911ac",
+    ),
+    ("odd", 1, 14): (
+        "0bfda7132cdbedbc1dc3d67fe3c2910fa1278b0b03d1ebbf32ec68ea1670bfa0",
+        "2ad5eadb88bad9f5722b381732a3c72c988fbef91fce8236e94e77506b95974b",
+    ),
+    ("odd", 2, 14): (
+        "80d80f0a1d1c023adbaf4ce5d9e381127c7f9a56f8ae3c52dc09e128620740a2",
+        "0687801bf9fb1f9ec52cd78b3f6f9313482ba591c0911625004850d3c73e211b",
     ),
 }
 
