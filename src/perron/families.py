@@ -9,12 +9,14 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate, chain
 
 from .digraph import MultiDigraph
 from .errors import ParameterRangeError
 from .polynomial import IntPolynomial
 from .spectral import (
+    _NEWTON_STEPS,
     DEFAULT_TOL,
     RootResult,
     _cauchy_bound,
@@ -22,6 +24,9 @@ from .spectral import (
     _positive_tol,
     largest_real_root,
 )
+
+# ``_ring_sign_at`` trusts floats only above the least normal float
+_MIN_NORMAL = 2.0**-1022
 
 
 @dataclass(frozen=True)
@@ -184,8 +189,48 @@ def _ring_polynomial(lengths, through: int) -> IntPolynomial:
 
 def _ring_sign_at(lengths, through: int, num: int, den: int) -> int:
     """Sign of ``_ring_polynomial(lengths, through)`` at num/den, den > 0, from
-    the lengths alone: den^m * p(num/den) = prod_k (num^{l_k} - den^{l_k})
-    - num^{m-through} * den^through."""
+    the lengths alone, by a filtered predicate (Shewchuk 1997): floats answer
+    when their error bound shows the sign, ``_exact_ring_sign`` otherwise.
+
+    For x = num/den >= 1, p(x) / x^m = F = prod_k (1 - y^{l_k}) - y^t with
+    y = den/num in (0, 1], t = through and n = len(lengths).  The float value
+    F~ takes the correctly rounded int/int quotient y~ = y(1 + d), |d| <= u =
+    2^-53 when y~ is a normal float, n + 1 ``pow`` calls, n multiplications
+    and n + 1 subtractions.  Every true value and every rounded one then lies
+    in [-1, 1] up to a few u, so errors add in absolute terms:
+
+    - y~^e = y^e (1 + d)^e is off by at most e u / (1 - e u) <= 2 e u for
+      each exponent e, while e u <= 1/2: 2(m + t) u over all n + 1;
+    - each ``pow`` returns a non-negative value within kappa ulps of y~^e,
+      at most kappa u since y~^e <= 1, with kappa = 2^11 - 1 >= 2^10 a safety
+      factor over the < 1 ulp that glibc documents: kappa (n + 1) u;
+    - 1 - a, the products and the last difference each round once, by at
+      most u/2 below 1 and u below 2, and a product of factors in [-1, 1]
+      carries their errors over unamplified: at most (n + 1) u.
+
+    So |F~ - F| <= E = (2(m + t) + 2^11 (n + 1)) 2^-53, and a float sign is
+    returned only when |F~| > E.  When m + t > 2^52, E exceeds 1 + 2^-41 >=
+    |F~|, so only the exact branch answers there.  The exact branch also
+    takes num < den and a y~ below the least normal float.
+    """
+    if num >= den > 0:
+        y = den / num
+        if y >= _MIN_NORMAL:
+            f = 1.0
+            for l in lengths:
+                f *= 1.0 - y**l
+            f -= y**through
+            bound = (2 * (sum(lengths) + through) + 2048 * (len(lengths) + 1)) * 2.0**-53
+            if f > bound:
+                return 1
+            if f < -bound:
+                return -1
+    return _exact_ring_sign(lengths, through, num, den)
+
+
+def _exact_ring_sign(lengths, through: int, num: int, den: int) -> int:
+    """``_ring_sign_at`` by integers: den^m * p(num/den) = prod_k (num^{l_k}
+    - den^{l_k}) - num^{m-through} * den^through."""
     acc = 1
     for l in lengths:
         acc *= num**l - den**l
@@ -204,16 +249,54 @@ def _ring_root(lengths, through: int, poly: IntPolynomial, tol) -> RootResult:
     x >= 1 where its sign is negative and none where it is not.  That answers
     every count the named cell asks for, so ``_cell_bracket`` reads only the
     signs of ``_ring_sign_at`` and needs no trace polynomial and no Descartes
-    count.  When no cell can be named, the general route gives the bracket.
+    count.  Its float estimate is ``_ring_top_root``, O(n) per step, not a
+    sum over poly's coefficients.  When no cell can be named, the general
+    route gives the bracket.
     """
     cell = _cell_bracket(
-        poly.coeffs,
+        partial(_ring_top_root, lengths, through),
         _cauchy_bound(poly),
         _positive_tol(tol),
         lambda num, den: _ring_sign_at(lengths, through, num, den),
         lambda x, count: True,  # by the lemma, every count it is asked for holds
     )
     return cell if cell is not None else largest_real_root(poly, tol)
+
+
+def _ring_top_root(lengths, through: int, U: int) -> float:
+    """Float estimate of the one root above 1 of ``_ring_polynomial(lengths,
+    through)``, which lies in (1, U): Newton steps on F(x) = prod_k (1 -
+    x^{-l_k}) - x^{-through} from x = 1, kept inside the bracket that F's
+    signs leave, whose midpoint replaces a step that leaves it.
+
+    F and F' take n + 1 powers of 1/x <= 1, so nothing overflows at any m.
+    From 1, where F' = through when n >= 2, the first step lands at the scale
+    of the root, 1 + O(1/through).
+    """
+    lo, hi = 1.0, float(U)
+    x = 1.0
+    for _ in range(_NEWTON_STEPS):
+        y = 1.0 / x
+        v, dv = 1.0, 0.0
+        for l in lengths:
+            w = y**l
+            v, dv = v * (1.0 - w), dv * (1.0 - w) + v * l * w * y
+        w = y**through
+        v -= w
+        dv += through * w * y
+        if v < 0:
+            lo = x
+        elif v > 0:
+            hi = x
+        else:
+            break
+        step = v / dv if dv else hi - lo  # dv is 0 only where powers underflow: bisect
+        if abs(step) <= x * 2.0**-46:
+            break
+        x -= step
+        if not lo < x < hi:
+            x = (lo + hi) / 2
+    return x
 
 
 def two_cycle_polynomial(a1: int, a2: int, a3: int) -> IntPolynomial:

@@ -8,8 +8,10 @@ then confirm, and when a bracket is rendered as a decimal string.  The
 certificate is a Descartes count: of p on the general route
 (``fast_bracket_at_least_one``), and of the squarefree part of p when p's top
 root is repeated (``largest_real_root``).  A ring polynomial needs none, since
-it has exactly one root above 1 (``families._ring_root``).  A bracket that no
-cell settles comes from Sturm counts (``_sturm_bracket``).
+it has exactly one root above 1 (``families._ring_root``); its signs come from
+floats where a proven error bound shows them, and from integers elsewhere
+(``families._ring_sign_at``).  A bracket that no cell settles comes from Sturm
+counts (``_sturm_bracket``).
 
 A palindromic p of even degree 2d is p(x) = x^d q(x + 1/x) with q the integer
 trace polynomial of degree d (``IntPolynomial._trace``).  For x > 0 the sign
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import floor, frexp, gcd, isfinite
 
 from .charpoly import _edge_placement_coeffs, char_poly_ct
@@ -228,7 +231,7 @@ def largest_real_root(p: IntPolynomial, tol=DEFAULT_TOL) -> RootResult:
     q = _squarefree(cs)
     if len(q) < len(cs) and _sign_at(q, *point(1, 1)) < 0:
         cell = _cell_bracket(
-            q if point is _same_point else _untrace_coeffs(q),
+            partial(_float_top_root, q if point is _same_point else _untrace_coeffs(q)),
             _cauchy_bound(p),
             tolf,
             _sign_of(q, point),
@@ -249,7 +252,7 @@ def fast_bracket_at_least_one(p: IntPolynomial, tol) -> RootResult | None:
     if not p.is_monic or p.degree < 1 or eval_at_one(p) >= 0:
         return None
     return _cell_bracket(
-        p.coeffs,
+        partial(_float_top_root, p.coeffs),
         _cauchy_bound(p),
         _positive_tol(tol),
         _sign_of(*_view(p)),
@@ -262,14 +265,17 @@ def _sign_of(cs, point):
     return lambda num, den: _sign_at(cs, *point(num, den))
 
 
-def _cell_bracket(cs, U: int, tolf: Fraction, sign, certified) -> RootResult | None:
+def _cell_bracket(estimate, U: int, tolf: Fraction, sign, certified) -> RootResult | None:
     """The bracket of ``_sturm_bracket`` for a polynomial f that is negative
     at 1 and positive from the integer U on, named on the dyadic grid of
     [1, U] from a float estimate of its largest root r; None when no cell can
     be named or the certificate declines.  Its signs at the ends are f's.
 
-    ``cs`` are the coefficients of a polynomial with f's signs at every
-    x >= 1, from which floats estimate r.  ``sign(num, den)`` is the exact
+    ``estimate(U)`` is the float estimate of r: ``_float_top_root`` over the
+    coefficients of a polynomial with f's signs at every x >= 1 on the
+    general routes, ``families._ring_top_root`` from a ring's lengths.  It
+    may be wrong or not finite, or raise OverflowError or ZeroDivisionError;
+    that costs a None, never a wrong bracket.  ``sign(num, den)`` is the exact
     sign of f at num/den >= 1.  ``certified(x, count)`` may hold only when f
     has exactly ``count`` roots above x, counted with multiplicity; it is
     asked with count 0 at a grid point where f is 0, and with count 1 at a
@@ -294,7 +300,7 @@ def _cell_bracket(cs, U: int, tolf: Fraction, sign, certified) -> RootResult | N
     tn, td = tolf.as_integer_ratio()
     last = (-(-n * td // tn) - 1).bit_length()  # the first k with n / 2^k <= tolf
     try:
-        r = _float_top_root(cs, U)
+        r = estimate(U)
         if not isfinite(r):
             return None
         # the deepest level whose cells are at least r * 2^-_FLOAT_BITS wide

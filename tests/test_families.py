@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from math import gcd, nan
@@ -32,7 +33,7 @@ from perron.polynomial import (
     eval_at_one,
     parse_polynomial,
 )
-from perron.spectral import count_roots_above, largest_real_root
+from perron.spectral import DEFAULT_TOL, count_roots_above, largest_real_root
 from perron.search import (
     _chord_shapes,
     _partitions_exact,
@@ -403,6 +404,80 @@ def test_ring_sign_matches_the_built_polynomial():
     assert (_ring_sign_at((1,), 1, 3, 2), _ring_sign_at((1,), 1, 5, 2)) == (-1, 1)
 
 
+def _exact_branch(monkeypatch):
+    """Record every call ``_ring_sign_at`` makes to its exact branch."""
+    calls = []
+    original = perron.families._exact_ring_sign
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(perron.families, "_exact_ring_sign", counted)
+    return calls
+
+
+def test_filtered_ring_sign_matches_the_built_polynomial(monkeypatch):
+    """The float-first ``_ring_sign_at`` against the exact sign of the built
+    polynomial: floats answer at both ends of the genus bound for every LT and
+    c4 candidate of g = 6..14, and at both ends of every ``_ring_root`` cell of
+    seeded random rings; exact zeros, points within 2^-60 of a root and
+    points below 1 or above 2^1022 go to the exact branch."""
+    polys = {}
+
+    def checked_sign(lengths, t, x):
+        if (lengths, t) not in polys:
+            polys[lengths, t] = _ring_polynomial(lengths, t).coeffs
+        sign = _ring_sign_at(lengths, t, *x.as_integer_ratio())
+        assert sign == _sign_at(polys[lengths, t], *x.as_integer_ratio()), (lengths, t, x)
+        return sign
+
+    exact = _exact_branch(monkeypatch)
+    pairs = 0
+    for g in range(6, 15):
+        bound = hironaka_bound(g, Fraction(1, 10**7)).bound
+        for m in range(2 * g, 6 * g - 5, 2):
+            d = m // 2
+            rings = [((a, m - a), d) for a in range(1, d)]
+            rings += [(parts, d) for parts in _partitions_exact(m, 4, 2)]
+            for lengths, t in rings:
+                checked_sign(lengths, t, bound.lo)
+                checked_sign(lengths, t, bound.hi)
+                pairs += 2
+    assert pairs == 180_810
+    assert exact == []
+
+    rng = random.Random(19)
+    tol = Fraction(1, 10**7)
+    cells = 0
+    for _ in range(1500):
+        lengths = tuple(rng.randint(1, 12) for _ in range(rng.randint(1, 5)))
+        t = rng.randint(1, sum(lengths))
+        r = _ring_root(lengths, t, _ring_polynomial(lengths, t), tol)
+        signs = checked_sign(lengths, t, r.lo), checked_sign(lengths, t, r.hi)
+        assert signs == (r.sign_lo, r.sign_hi)
+        cells += signs == (-1, 1)
+    assert cells > 1400
+
+    del exact[:]
+    # exact zeros: x - 2 and x^2 - 2x at 2
+    assert checked_sign((1,), 1, Fraction(2)) == checked_sign((1, 1), 2, Fraction(2)) == 0
+    assert len(exact) == 2
+    # both ends of cells of width 2^-62 around roots
+    near = ((1, 11), 6), ((5, 9), 7), ((2, 4, 3, 3), 6), ((3, 8, 5, 6), 11)
+    for lengths, t in near:
+        r = _ring_root(lengths, t, _ring_polynomial(lengths, t), Fraction(1, 2**62))
+        assert r.hi - r.lo <= Fraction(1, 2**62)
+        del exact[:]
+        assert (checked_sign(lengths, t, r.lo), checked_sign(lengths, t, r.hi)) == (-1, 1)
+        assert len(exact) == 2, (lengths, t)
+    # below 1, where p / x^m is not the product of factors in [0, 1], and
+    # above 2^1022, where den/num is no normal float
+    assert checked_sign((5, 9), 7, Fraction(1, 2)) == 1
+    assert checked_sign((1,), 1, Fraction(2**1100)) == 1
+    assert len(exact) == 4
+
+
 def _genus_rings(g_max):
     """The distinct (lengths, through) rings of the LT and c4 candidates of
     genus 5..g_max."""
@@ -466,6 +541,21 @@ def test_ring_root_on_random_rings(monkeypatch):
     assert fallbacks == []
 
 
+def test_ring_root_needs_no_fallback_at_large_m(monkeypatch):
+    """The estimate from the lengths names the cell of the genus bound's
+    polynomial far past the search, at m = 2g + 2 up to 2,002, where the
+    dense coefficient list has thousands of entries."""
+    start = time.perf_counter()
+    fallbacks = _fallbacks(monkeypatch)
+    for g in (150, 400, 1000):
+        bound = hironaka_bound(g)
+        p = lt_polynomial(bound.d, bound.a)
+        assert p.degree == 2 * g + 2
+        assert bound.bound == largest_real_root(p, DEFAULT_TOL)
+    assert fallbacks == []
+    assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize("estimate", ["nan", "1", "2U", "r * 1.01"])
 def test_ring_root_falls_back_when_no_cell_is_named(monkeypatch, estimate):
     """No cell is named from an estimate that is not a number or more than one
@@ -482,7 +572,7 @@ def test_ring_root_falls_back_when_no_cell_is_named(monkeypatch, estimate):
             "r * 1.01": lambda U: r * 1.01,
         }[estimate]
         with monkeypatch.context() as patch:
-            patch.setattr(perron.spectral, "_float_top_root", lambda p, U: guess(U))
+            patch.setattr(perron.families, "_ring_top_root", lambda lengths, t, U: guess(U))
             fallbacks = _fallbacks(patch)
             assert _ring_root(lengths, t, p, tol) == expected
             assert len(fallbacks) == 1
