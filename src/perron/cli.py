@@ -90,7 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--max-c", type=int, required=True)
     p.add_argument("--max-m", type=int, default=None)
-    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--format", choices=["text", "json"], default="text")
 
     p = sub.add_parser("fixture", help="emit a stored fixture digraph")
@@ -106,13 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _read_digraph(path: str):
     with open(path, encoding="utf-8") as fh:
         return parse_digraph(fh.read())
-
-
-def _positive_int(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return n
 
 
 def _tol(arg) -> Fraction:
@@ -218,7 +210,7 @@ def run(argv, out=None, err=None) -> int:
             poly = parse_polynomial(args.polynomial)
             print(count_realizations(poly, args.n, args.c), file=out)
         elif args.command == "search":
-            report = genus_candidates(args.genus, args.max_c, m_max=args.max_m, jobs=args.jobs)
+            report = genus_candidates(args.genus, args.max_c, m_max=args.max_m)
             _print_report(report, args.format, out)
         elif args.command == "fixture":
             out.write(fixtures.fixture_text(args.name))

@@ -9,9 +9,7 @@ and reports are sorted, so identical runs produce identical reports.
 from __future__ import annotations
 
 import itertools
-import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, prod
@@ -709,38 +707,34 @@ def count_realizations(p: IntPolynomial, n: int, c: int) -> int:
 # genus candidate search
 # ---------------------------------------------------------------------------
 
-def _decide_candidate(task):
+def _decide_candidate(lengths, through, poly, bound):
     """Compare one ring candidate against the genus bound bracket.
 
-    Returns (status, bracket), status survivor or inconclusive.  Its tasks
-    come from ``genus_candidates``, which has already eliminated every
-    candidate whose ring sign at the bound's upper end is negative, so the
-    candidate's one root above 1 lies at or below that end.  The candidate's
-    own bracket comes from ``_ring_root``; when it does not end at or below
-    the bound's lower end, the ring sign there counts the roots above it: a
-    ring polynomial has one root above x >= 1 when its sign at x is negative
-    and none otherwise.  A survivor reports its own bracket, or the bound's
-    when the bound polynomial divides it and so shares its one root above 1.
+    Returns (status, bracket), status survivor or inconclusive; ``bound`` is
+    the search's ``GenusBound``, or None when no bound applies.  Its
+    candidates come from ``genus_candidates``, which has already eliminated
+    every candidate whose ring sign at the bound's upper end is negative, so
+    the candidate's one root above 1 lies at or below that end.  The
+    candidate's own bracket comes from ``_ring_root``; when it does not end at
+    or below the bound's lower end, the ring sign there counts the roots above
+    it: a ring polynomial has one root above x >= 1 when its sign at x is
+    negative and none otherwise.  A survivor reports its own bracket, or the
+    bound's when the bound polynomial divides it and so shares its one root
+    above 1.
     """
-    lengths, through, poly, bound_lo, bound_hi, bound_poly, tol = task
-    lam = _ring_root(lengths, through, poly, tol)
-    if bound_lo is None or lam.hi <= bound_lo:
+    lam = _ring_root(lengths, through, poly, _SEARCH_TOL)
+    if bound is None or lam.hi <= bound.bound.lo:
         return "survivor", lam
-    if _ring_sign_at(lengths, through, *bound_lo.as_integer_ratio()) >= 0:
+    if _ring_sign_at(lengths, through, *bound.bound.lo.as_integer_ratio()) >= 0:
         return "survivor", lam
     # the one root lies in the bound bracket and is the bound's root when the
     # bound polynomial divides the candidate; its own grid could round differently
-    if not any(_pdivmod(poly.coeffs, bound_poly.coeffs)[1]):
-        return "survivor", RootResult(bound_lo, bound_hi)
+    if not any(_pdivmod(poly.coeffs, lt_polynomial(bound.d, bound.a).coeffs)[1]):
+        return "survivor", RootResult(bound.bound.lo, bound.bound.hi)
     return "inconclusive", None
 
 
-def genus_candidates(
-    g: int,
-    c_max: int,
-    m_max: int | None = None,
-    jobs: int = 1,
-) -> SearchReport:
+def genus_candidates(g: int, c_max: int, m_max: int | None = None) -> SearchReport:
     """Palindromic candidate polynomials from the ring shape classes with
     n <= c <= c_max, dimension window [2g, min(m_max, 6g-6)], kept when their
     certified largest root does not exceed the genus bound.
@@ -753,7 +747,8 @@ def genus_candidates(
 
     A candidate is held as its plain ring data until its ring sign at the
     bound's upper end, read from its lengths, is known: the about three in
-    four that it eliminates never get a polynomial, a task or a shape.
+    four that it eliminates never get a polynomial, a decision or a shape.
+    The kept candidates are decided in this process, one after another.
     """
     if g < 5:
         raise ParameterRangeError("genus_candidates needs g >= 5")
@@ -762,12 +757,8 @@ def genus_candidates(
     window_hi = 6 * g - 6 if m_max is None else min(m_max, 6 * g - 6)
     window_lo = 2 * g
     bound = hironaka_bound(g, _SEARCH_TOL) if g >= 6 else None
-    if bound is None:
-        bound_lo = bound_hi = bound_poly = None
-    else:
-        bound_lo, bound_hi = bound.bound.lo, bound.bound.hi
-        bound_poly = lt_polynomial(bound.d, bound.a)
-        num, den = bound_hi.as_integer_ratio()
+    if bound is not None:
+        num, den = bound.bound.hi.as_integer_ratio()
 
     # each candidate as (family, d, a, ring lengths), its through-cycle of length d
     ds = range(g, window_hi // 2 + 1)
@@ -780,17 +771,10 @@ def genus_candidates(
         if bound is None or _ring_sign_at(lengths, d, num, den) >= 0:
             kept.append((family, d, a, lengths))
     polys = [_ring_polynomial(lengths, d) for _, d, _, lengths in kept]
-    tasks = [
-        (lengths, d, poly, bound_lo, bound_hi, bound_poly, _SEARCH_TOL)
+    results = [
+        _decide_candidate(lengths, d, poly, bound)
         for (_, d, _, lengths), poly in zip(kept, polys)
     ]
-    # the pool forks all its workers at once, so never more than the CPUs
-    workers = min(jobs, os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_decide_candidate, tasks, chunksize=32))
-    else:
-        results = [_decide_candidate(t) for t in tasks]
 
     survivors = []
     inconclusive = 0

@@ -1,5 +1,8 @@
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -41,6 +44,17 @@ def test_genus_search_imports_no_general_root_route():
     tree = ast.parse((PACKAGE / "search.py").read_text())
     names = {alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert not names & {"largest_real_root", "count_roots_above", "descartes_roots_above"}
+
+
+def test_cli_import_loads_no_process_pool():
+    """The CLI runs in one process: importing it starts no pool machinery."""
+    probe = (
+        "import sys, perron.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout == "[]\n"
 
 
 def _definition_nodes(source: str):

@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import json
-import os
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -457,53 +456,6 @@ def test_genus_candidates_survivor_families():
             assert char_poly_ct(s.representative) == s.polynomial
 
 
-def test_genus_candidates_jobs_equivalence():
-    a = genus_candidates(6, 2, m_max=16)
-    b = genus_candidates(6, 2, m_max=16, jobs=2)
-    assert json.dumps(a.to_json_obj(), sort_keys=True) == json.dumps(
-        b.to_json_obj(), sort_keys=True
-    )
-
-
-def test_genus_candidates_jobs_equivalence_with_c4():
-    a = genus_candidates(7, 4)
-    b = genus_candidates(7, 4, jobs=2)
-    assert json.dumps(a.to_json_obj(), sort_keys=True) == json.dumps(
-        b.to_json_obj(), sort_keys=True
-    )
-    assert any(s.info["family"] == "c4" for s in a.survivors)
-
-
-def test_genus_candidates_caps_the_pool_at_the_cpu_count(monkeypatch):
-    """An oversized ``jobs`` asks for one worker per CPU, and runs serially
-    on one CPU.  The recording pool maps in this process: no worker starts."""
-    pools = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(perron.search, "ProcessPoolExecutor", RecordingPool)
-    serial = json.dumps(genus_candidates(7, 4).to_json_obj(), sort_keys=True)
-    report = genus_candidates(7, 4, jobs=10**6)
-    assert json.dumps(report.to_json_obj(), sort_keys=True) == serial
-    assert all(n <= (os.cpu_count() or 1) for n in pools)
-    for cpus, asked in ((3, [3]), (1, []), (None, [])):
-        pools.clear()
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        genus_candidates(6, 2, m_max=16, jobs=10**6)
-        assert pools == asked, cpus
-
-
 def test_genus_candidates_builds_digraphs_only_when_read(monkeypatch):
     """A survivor keeps its ring shape: the search and its renderings build no
     digraph, and each read of a representative builds one."""
@@ -570,12 +522,9 @@ def test_figure4_fixture_properties():
 
 
 def test_decide_reads_no_trace_for_a_survivor():
-    tol = Fraction(1, 10**7)
-    bound = hironaka_bound(6, tol)
-    bound_poly = lt_polynomial(bound.d, bound.a)
+    bound = hironaka_bound(6, Fraction(1, 10**7))
     below = lt_polynomial(15, 14)
-    task = ((14, 16), 15, below, bound.bound.lo, bound.bound.hi, bound_poly, tol)
-    assert _decide_candidate(task)[0] == "survivor"
+    assert _decide_candidate((14, 16), 15, below, bound)[0] == "survivor"
     assert "_trace" not in vars(below)
 
 
@@ -583,10 +532,10 @@ def test_decide_reads_no_trace_for_a_survivor():
 def test_genus_search_eliminates_by_ring_sign_before_building(monkeypatch, g, kept, total):
     """The ring sign at the bound's upper end is the search's one elimination
     there: it is read once per candidate, only the candidates it keeps get a
-    polynomial and a task, and every task's polynomial is non-negative at that
-    end.  The decision reads the sign at the bound's lower end only for the
+    polynomial and a decision, and every decided polynomial is non-negative at
+    that end.  The decision reads the sign at the bound's lower end only for the
     few candidates whose own bracket does not settle them."""
-    signs, built, tasks = {}, [], []  # signs: the signs read at each point
+    signs, built, decided = {}, [], []  # signs: the signs read at each point
     ring_sign_at = perron.search._ring_sign_at
     ring_polynomial = perron.search._ring_polynomial
     decide = perron.search._decide_candidate
@@ -600,9 +549,9 @@ def test_genus_search_eliminates_by_ring_sign_before_building(monkeypatch, g, ke
         built.append(args)
         return ring_polynomial(*args)
 
-    def counting_decide(task):
-        tasks.append(task)
-        return decide(task)
+    def counting_decide(lengths, through, poly, bound):
+        decided.append((poly, bound))
+        return decide(lengths, through, poly, bound)
 
     monkeypatch.setattr(perron.search, "_ring_sign_at", counting_sign)
     monkeypatch.setattr(perron.search, "_ring_polynomial", counting_polynomial)
@@ -611,30 +560,30 @@ def test_genus_search_eliminates_by_ring_sign_before_building(monkeypatch, g, ke
     bound = hironaka_bound(g, Fraction(1, 10**7)).bound
     upper = signs.pop(bound.hi)
     assert report.total == len(upper) == total
-    assert len(built) == len(tasks) == sum(s >= 0 for s in upper) == kept
+    assert len(built) == len(decided) == sum(s >= 0 for s in upper) == kept
     assert {x: len(read) for x, read in signs.items()} == {bound.lo: {6: 3, 8: 2}[g]}
-    for _, _, poly, _, hi, _, _ in tasks:
-        assert hi == bound.hi
-        assert _sign_at(poly.coeffs, *hi.as_integer_ratio()) >= 0
+    for poly, genus_bound in decided:
+        assert genus_bound.bound.hi == bound.hi
+        assert _sign_at(poly.coeffs, *bound.hi.as_integer_ratio()) >= 0
 
 
-def _bound_task(g, tol=Fraction(1, 10**7)):
-    """The ``_decide_candidate`` task for a candidate at genus g, bound at 1e-7."""
+def _decide_at_genus(g):
+    """The genus-g bound at 1e-7, and ``_decide_candidate`` of a ring
+    candidate against it."""
     bound = hironaka_bound(g, Fraction(1, 10**7))
-    bound_poly = lt_polynomial(bound.d, bound.a)
-    return bound.bound, lambda lengths, t: (
-        lengths, t, _ring_polynomial(lengths, t), bound.bound.lo, bound.bound.hi, bound_poly, tol
+    return bound.bound, lambda lengths, t: _decide_candidate(
+        lengths, t, _ring_polynomial(lengths, t), bound
     )
 
 
 def test_decide_reports_the_bound_bracket_for_candidates_the_bound_divides():
-    bound, task = _bound_task(7)
+    bound, decide = _decide_at_genus(7)
     bound_poly, c4 = lt_polynomial(8, 7), c4_polynomial(16, (9, 9, 7, 7))
     assert not any(_pdivmod(c4.coeffs, bound_poly.coeffs)[1])
     own = largest_real_root(c4, Fraction(1, 10**7))
     assert (own.lo, own.hi) != (bound.lo, bound.hi)  # another grid, so the pin below bites
     for ring in (((7, 9), 8), ((9, 9, 7, 7), 16)):
-        status, lam = _decide_candidate(task(*ring))
+        status, lam = decide(*ring)
         assert status == "survivor"
         assert (lam.lo, lam.hi) == (bound.lo, bound.hi)
 
@@ -642,23 +591,38 @@ def test_decide_reports_the_bound_bracket_for_candidates_the_bound_divides():
 def test_decide_reports_the_own_bracket_without_a_bound():
     tol = Fraction(1, 10**7)
     poly = lt_polynomial(6, 5)
-    status, lam = _decide_candidate(((5, 7), 6, poly, None, None, None, tol))
+    status, lam = _decide_candidate((5, 7), 6, poly, None)
     own = largest_real_root(poly, tol)
     assert status == "survivor" and (lam.lo, lam.hi) == (own.lo, own.hi)
 
 
-def test_decide_with_a_coarse_bracket_straddling_the_bound():
+def test_decide_with_a_coarse_bracket_straddling_the_bound(monkeypatch):
     """At candidate tolerance 1/10 the candidate's own bracket contains the
     bound's lower end, so the bracket alone decides nothing."""
     coarse = Fraction(1, 10)
-    bound, task = _bound_task(6, coarse)
+    bound, decide = _decide_at_genus(6)
+    monkeypatch.setattr(perron.search, "_SEARCH_TOL", coarse)
     below, above = lt_polynomial(7, 5), lt_polynomial(6, 4)
     for poly in (below, above):
         lam = largest_real_root(poly, coarse)
         assert lam.lo < bound.lo < lam.hi
-    status, lam = _decide_candidate(task((5, 9), 7))
+    status, lam = decide((5, 9), 7)
     own = largest_real_root(below, coarse)
     assert status == "survivor" and (lam.lo, lam.hi) == (own.lo, own.hi)
+
+
+@pytest.mark.parametrize(
+    "g, total, survivors, above, inconclusive", [(6, 620, 179, 435, 6), (8, 2383, 470, 1885, 28)]
+)
+def test_genus_search_counts_inconclusive_comparisons(monkeypatch, g, total, survivors, above, inconclusive):
+    """At search tolerance 1/1000 some candidates' roots lie in the bound's
+    bracket without the bound polynomial dividing them: the search counts them
+    apart from the eliminated and names the tolerance in a note."""
+    monkeypatch.setattr(perron.search, "_SEARCH_TOL", Fraction(1, 1000))
+    report = genus_candidates(g, 4)
+    assert report.total == total and len(report.survivors) == survivors
+    assert report.eliminated == {"lambda_above_bound": above, "inconclusive": inconclusive}
+    assert f"inconclusive root comparisons at tolerance 1/1000: {inconclusive}" in report.notes
 
 
 def test_genus_search_certifies_each_survivor_once(monkeypatch):
