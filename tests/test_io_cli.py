@@ -368,6 +368,12 @@ SEARCH_REPORT_DIGESTS = {
     ("--genus", "7", "--max-c", "4"): (
         "543b17bb694fadf5139fa6100f11df4acfc7233d3ffd9fbe0f89ca0862baf159"
     ),
+    ("--genus", "5", "--max-c", "4"): (
+        "be69600e9994406d9c78f6dc6f3e15bbd07bec35bcb295ddad76f3224ecc2053"
+    ),
+    ("--genus", "8", "--max-c", "4"): (
+        "e41697fe2fe1fc3fdb5bc66cf0120178f3c73639448a14fe8ee16ecb3a4c84ba"
+    ),
 }
 
 
