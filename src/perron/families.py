@@ -146,19 +146,56 @@ class Shape:
             V += 1
         return V, arcs, arc_lengths, weights
 
+    def _runs(self):
+        """The rows of ``build_shape_nc(self)`` in order, as (u, w, row): rows
+        u..w-1 are plain cycle steps i -> i + 1, and row w, an attachment
+        source or a cycle's closing vertex, holds the (v, k) arcs ``row`` by v.
+        The one walk behind ``arcs`` and ``_arc_text``, over O(n + c) rows."""
+        starts, extra = self._attachment_edges()
+        rows = {end - 1: {start: 1} for start, end in zip(starts, starts[1:])}
+        for u, v in extra:
+            row = rows.setdefault(u, {u + 1: 1})
+            row[v] = row.get(v, 0) + 1
+        u = 0
+        for w in sorted(rows):
+            yield u, w, sorted(rows[w].items())
+            u = w + 1
+
     def arcs(self) -> list[tuple[int, int, int]]:
         """The (i, j, k) edges of ``build_shape_nc(self)`` in row-major order,
-        with no grid: vertex i's cycle arc is arc i, and each row with
-        attachments is merged in, last row first."""
-        succ, extra = self._layout()
-        arcs = [(i, j, 1) for i, j in enumerate(succ)]
-        rows: dict[int, dict[int, int]] = {}
-        for u, v in extra:
-            row = rows.setdefault(u, {succ[u]: 1})
-            row[v] = row.get(v, 0) + 1
-        for u in sorted(rows, reverse=True):
-            arcs[u : u + 1] = [(u, v, k) for v, k in sorted(rows[u].items())]
+        with no grid (see ``_runs``)."""
+        arcs = []
+        for u, w, row in self._runs():
+            arcs.extend((i, i + 1, 1) for i in range(u, w))
+            arcs.extend((w, v, k) for v, k in row)
         return arcs
+
+    def _arc_text(self) -> str:
+        """``arcs()`` as 1-based labels "i->j", or "i->jxk" when k > 1, joined by
+        spaces; each run of plain steps is one slice of ``_plain_steps``."""
+        text, starts = _plain_steps(self.m)
+        parts = []
+        for u, w, row in self._runs():
+            if u < w:
+                parts.append(text[starts[u] : starts[w] - 1])
+            parts.extend(f"{w + 1}->{v + 1}" + (f"x{k}" if k > 1 else "") for v, k in row)
+        return " ".join(parts)
+
+
+# the memo of ``_plain_steps`` for the largest m asked so far
+_plain_chain = ("", (0,))
+
+
+def _plain_steps(m: int) -> tuple[str, tuple[int, ...]]:
+    """The chain text "1->2 2->3 ... M->M+1 " for some M >= m and where each
+    label starts: the labels of rows u..w-1 are ``text[starts[u] : starts[w] - 1]``.
+    Built on first use; a larger m rebuilds it at least twice as long."""
+    global _plain_chain
+    text, starts = _plain_chain
+    if len(starts) <= m:
+        labels = [f"{u}->{u + 1} " for u in range(1, max(m, 2 * len(starts)) + 1)]
+        text, starts = _plain_chain = "".join(labels), (0, *accumulate(map(len, labels)))
+    return text, starts
 
 
 @dataclass(frozen=True)
@@ -238,9 +275,10 @@ def _exact_ring_sign(lengths, through: int, num: int, den: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _ring_root(lengths, through: int, poly: IntPolynomial, tol) -> RootResult:
-    """``largest_real_root(poly, tol)`` for poly = ``_ring_polynomial(lengths,
-    through)`` with 1 <= through <= m, from ring signs alone.
+def _ring_root(lengths, through: int, poly: IntPolynomial, tolf) -> RootResult:
+    """``largest_real_root(poly, tolf)`` for poly = ``_ring_polynomial(lengths,
+    through)`` with 1 <= through <= m, from ring signs alone; tolf is a
+    tolerance that ``_positive_tol`` has already accepted.
 
     For x > 1, poly(x) / x^m = prod_k (1 - x^{-l_k}) - x^{-through}: every
     factor is positive and increasing, and so is -x^{-through}, so it rises
@@ -256,11 +294,11 @@ def _ring_root(lengths, through: int, poly: IntPolynomial, tol) -> RootResult:
     cell = _cell_bracket(
         partial(_ring_top_root, lengths, through),
         _cauchy_bound(poly),
-        _positive_tol(tol),
+        tolf,
         lambda num, den: _ring_sign_at(lengths, through, num, den),
         lambda x, count: True,  # by the lemma, every count it is asked for holds
     )
-    return cell if cell is not None else largest_real_root(poly, tol)
+    return cell if cell is not None else largest_real_root(poly, tolf)
 
 
 def _ring_top_root(lengths, through: int, U: int) -> float:
@@ -389,14 +427,19 @@ def ring_shape_with_through(lengths, through: int) -> Shape:
         raise ParameterRangeError(
             f"through-cycle length must lie in [{n}, {sum(lengths)}], got {through}"
         )
-    need = through - n
+    return ring_shape(lengths, _through_exits(lengths, through))
+
+
+def _through_exits(lengths, through: int) -> tuple[int, ...]:
+    """The greedy exits of ``ring_shape_with_through``, with no argument checks."""
+    need = through - len(lengths)
     exits = []
     for l in lengths:
         take = min(l - 1, need)
         exits.append(take)
         need -= take
     assert need == 0
-    return ring_shape(lengths, exits)
+    return tuple(exits)
 
 
 def hironaka_bound(g: int, tol=DEFAULT_TOL) -> GenusBound:
@@ -411,6 +454,7 @@ def hironaka_bound(g: int, tol=DEFAULT_TOL) -> GenusBound:
             f"genus bound is defined for integers g >= 6, got {g!r} "
             "(g = 5 has no (d, a) case in this family)"
         )
+    tolf = _positive_tol(tol)
     d = g + 1
     a = g - 2 if g % 3 == 0 else g
-    return GenusBound(g, d, a, _ring_root((a, 2 * d - a), d, lt_polynomial(d, a), tol))
+    return GenusBound(g, d, a, _ring_root((a, 2 * d - a), d, lt_polynomial(d, a), tolf))

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
+from itertools import compress, repeat
 from math import gcd
 from operator import neg
 
@@ -115,23 +115,23 @@ def eval_at_one(p: IntPolynomial) -> int:
 
 
 def format_polynomial(p: IntPolynomial) -> str:
-    """Pretty form in descending powers, e.g. ``x^14 - x^8 - x^7 - x^6 + 1``."""
+    """Pretty form in descending powers, e.g. ``x^14 - x^8 - x^7 - x^6 + 1``.
+    Only the nonzero coefficients are visited."""
+    degree = p.degree
     parts = []
-    for i, c in enumerate(p.coeffs):
-        if c == 0:
-            continue
-        e = p.degree - i
+    for i, c in compress(enumerate(p.coeffs), p.coeffs):
+        e = degree - i
         mag = abs(c)
         if e == 0:
             body = str(mag)
         else:
             var = "x" if e == 1 else f"x^{e}"
             body = var if mag == 1 else f"{mag}{var}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(("+ " if c > 0 else "- ") + body)
-    return " ".join(parts) if parts else "0"
+        parts.append(("+ " if c > 0 else "- ") + body)
+    if not parts:
+        return "0"
+    parts[0] = parts[0][2:] if parts[0][0] == "+" else "-" + parts[0][2:]
+    return " ".join(parts)
 
 
 def format_coefficient_list(p: IntPolynomial) -> str:

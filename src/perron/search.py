@@ -43,8 +43,7 @@ from .families import (
     _ring_polynomial,
     _ring_root,
     _ring_sign_at,
-    ring_shape,
-    ring_shape_with_through,
+    _through_exits,
     two_cycle_polynomial,
 )
 from .io import arcs_to_json_obj
@@ -125,10 +124,7 @@ class SearchReport:
         for s in self.survivors:
             info = ", ".join(f"{k}={v}" for k, v in s.info.items())
             lines.append(f"  {format_polynomial(s.polynomial)}" + (f"  [{info}]" if info else ""))
-            edges = " ".join(
-                f"{i + 1}->{j + 1}" + (f"x{k}" if k > 1 else "") for i, j, k in s.shape.arcs()
-            )
-            lines.append(f"    representative: m={s.shape.m} {edges}")
+            lines.append(f"    representative: m={s.shape.m} {s.shape._arc_text()}")
         if self.notes:
             lines.append("notes:")
             for n in self.notes:
@@ -783,9 +779,10 @@ def genus_candidates(g: int, c_max: int, m_max: int | None = None) -> SearchRepo
             inconclusive += 1
             continue
         if family == "lt":
-            shape = ring_shape(lengths, (0, d - 2))
+            exits = (0, d - 2)
         else:
-            a, shape = list(a), ring_shape_with_through(lengths, d)
+            a, exits = list(a), _through_exits(lengths, d)
+        shape = Shape._unchecked(lengths, _ring_attachments(exits))
         info = {"family": family, "d": d, "a": a, "m": 2 * d, "lambda": lam.decimal(5)}
         info["m_minus_2g"] = 2 * d - 2 * g
         survivors.append(SurvivorEntry(poly, shape, info))

@@ -200,7 +200,7 @@ def _shifted_variations(cs, num: int, den: int) -> int:
 
 def _cauchy_bound(p: IntPolynomial) -> int:
     """1 + max |b_i|: all real roots of the monic p lie strictly below it."""
-    return 1 + max((abs(c) for c in p.coeffs[1:]), default=0)
+    return 1 + max(map(abs, p.coeffs[1:]), default=0)
 
 
 def largest_real_root(p: IntPolynomial, tol=DEFAULT_TOL) -> RootResult:

@@ -52,3 +52,24 @@ def smooth(rows):
         V += 1
         todo = [v]
     return V, arcs, lengths, weights
+
+
+def format_polynomial(p):
+    """Pretty form of an ``IntPolynomial`` in descending powers, e.g.
+    ``x^14 - x^8 - x^7 - x^6 + 1``, visiting every coefficient in turn."""
+    parts = []
+    for i, c in enumerate(p.coeffs):
+        if c == 0:
+            continue
+        e = p.degree - i
+        mag = abs(c)
+        if e == 0:
+            body = str(mag)
+        else:
+            var = "x" if e == 1 else f"x^{e}"
+            body = var if mag == 1 else f"{mag}{var}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(("+ " if c > 0 else "- ") + body)
+    return " ".join(parts) if parts else "0"

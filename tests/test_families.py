@@ -311,7 +311,14 @@ def test_lt_realizations_primitive_iff_coprime():
             assert is_primitive(dg) == (gcd(a, d) == 1)
 
 
-def test_shape_arcs_match_the_built_grid():
+def test_shape_arcs_match_the_built_grid(monkeypatch, rng):
+    """``Shape.arcs`` against the built grid and a direct count of the cycle
+    arcs and attachment edges, and ``Shape._arc_text`` against the labels of
+    those arcs, on swept rings, genus survivors and random shapes; the shared
+    chain text starts empty here, so it is built and then grown."""
+    monkeypatch.setattr(perron.families, "_plain_chain", ("", (0,)))
+    chain_sizes = set()
+
     def check(shape):
         # reference: count each cycle arc and each attachment edge directly
         lengths = shape.cycle_lengths
@@ -322,7 +329,11 @@ def test_shape_arcs_match_the_built_grid():
         for sc, so, tc, to in shape.attachments:
             counts[starts[sc] + so % lengths[sc], starts[tc] + to % lengths[tc]] += 1
         expected = sorted((i, j, k) for (i, j), k in counts.items())
-        assert shape.arcs() == list(build_shape_nc(shape).edges()) == expected
+        arcs = shape.arcs()
+        assert arcs == list(build_shape_nc(shape).edges()) == expected
+        labels = (f"{i + 1}->{j + 1}" + (f"x{k}" if k > 1 else "") for i, j, k in arcs)
+        assert shape._arc_text() == " ".join(labels), shape
+        chain_sizes.add(len(perron.families._plain_chain[1]))
 
     swept = 0
     for n in range(1, 5):
@@ -338,6 +349,38 @@ def test_shape_arcs_match_the_built_grid():
     doubled = ring_shape((3,), (2,))
     check(doubled)
     assert doubled.arcs() == [(0, 1, 1), (1, 2, 1), (2, 0, 2)]
+    assert doubled._arc_text() == "1->2 2->3 3->1x2"
+
+    seen = Counter()
+    for _ in range(3000):
+        n = rng.randint(1, 4)
+        lengths = tuple(rng.choice((1, 2, 3, 5, 8, 40)) for _ in range(n))
+        attachments = []
+        for _ in range(rng.randint(0, 5)):
+            roll = rng.random()
+            sc, tc = rng.randrange(n), rng.randrange(n)
+            so, to = rng.randrange(-2, lengths[sc] + 3), rng.randrange(-2, lengths[tc] + 3)
+            if attachments and roll < 0.2:  # a second attachment from one row
+                sc, so = attachments[-1][:2]
+            elif roll < 0.35:  # doubles a cycle arc
+                tc, to = sc, so + 1
+            elif roll < 0.5:  # from the cycle's closing vertex
+                so = lengths[sc] - 1
+            attachments.append((sc, so, tc, to))
+        shape = Shape(lengths, tuple(attachments))
+        check(shape)
+        sources = Counter((sc, so % lengths[sc]) for sc, so, _, _ in attachments)
+        seen["doubled edge"] += any(k > 1 for *_, k in shape.arcs())
+        seen["two attachments from one row"] += max(sources.values(), default=0) > 1
+        seen["closing vertex attached"] += any(
+            so % lengths[sc] == lengths[sc] - 1 for sc, so, _, _ in attachments
+        )
+        seen["bare cycle"] += len({a[0] for a in attachments} | {a[2] for a in attachments}) < n
+    assert min(seen.values()) > 300, seen
+    # an m past every chain so far, so that it grows once more
+    largest = max(chain_sizes)
+    check(ring_shape((largest, 3, largest), (1, 2, largest - 1)))
+    assert len(chain_sizes) > 2 and max(chain_sizes) > largest
 
 
 def test_shape_core_matches_the_smoothed_grid(rng):

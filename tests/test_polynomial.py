@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,8 @@ from perron.polynomial import (
     _trace_coeffs,
     _untrace_coeffs,
 )
+
+from oracles import format_polynomial as format_polynomial_reference
 
 FIG1 = IntPolynomial((1, 0, 0, 0, 0, 0, -1, -1, -1, 0, 0, 0, 0, 0, 1))
 FIG4 = IntPolynomial((1, -2, 1, 0, -4, 4, 0, -1, 2, -1))
@@ -81,6 +84,37 @@ def test_format_pretty():
     assert format_polynomial(IntPolynomial((1, -1))) == "x - 1"
     assert format_polynomial(IntPolynomial((0,))) == "0"
     assert format_polynomial(IntPolynomial((-1, 0, 3))) == "-x^2 + 3"
+
+
+def test_format_pretty_matches_the_reference(rng):
+    """The pretty form, which visits only the nonzero coefficients, against
+    the reference that visits every one, on seeded dense and sparse
+    polynomials and on the zero polynomial, constants, negative leading
+    coefficients and coefficients of magnitude above 1."""
+    polys = [IntPolynomial(cs) for cs in ((0,), (0, 0, 0), (5,), (-1,), (-3, 0, 1), (0, 2, -1))]
+    for _ in range(2000):
+        degree = rng.choice((0, rng.randint(1, 40), rng.randint(1, 40)))
+        density = rng.choice((0.05, 0.2, 1.0))
+        big = rng.choice((1, 3, 10**30))
+        polys.append(
+            IntPolynomial(
+                tuple(
+                    rng.randint(-big, big) if rng.random() < density else 0
+                    for _ in range(degree + 1)
+                )
+            )
+        )
+    seen = Counter()
+    for p in polys:
+        assert format_polynomial(p) == format_polynomial_reference(p), p
+        nonzero = [c for c in p.coeffs if c]
+        seen["zero"] += not nonzero
+        seen["constant"] += p.degree == 0 and bool(nonzero)
+        seen["negative lead"] += p.coeffs[0] < 0
+        seen["magnitude above 1"] += any(abs(c) > 1 for c in nonzero)
+        seen["sparse"] += 0 < len(nonzero) <= (p.degree + 1) // 4
+        seen["dense"] += len(nonzero) == p.degree + 1 > 1
+    assert min(seen.values()) > 30, seen
 
 
 def test_format_coefficient_list():

@@ -21,12 +21,15 @@ from perron.digraph import (
 )
 from perron.errors import CounterexampleError, ParameterRangeError, ResourceLimitError
 from perron.families import (
+    Shape,
     _ring_polynomial,
     build_shape_22,
     build_shape_nc,
     c4_polynomial,
     hironaka_bound,
     lt_polynomial,
+    ring_shape,
+    ring_shape_with_through,
 )
 from perron.fixtures import figure4
 from perron.polynomial import IntPolynomial, _pdivmod, _sign_at, format_polynomial, parse_polynomial
@@ -475,6 +478,31 @@ def test_genus_candidates_builds_digraphs_only_when_read(monkeypatch):
     for s in report.survivors:
         s.representative
     assert len(built) == len(report.survivors)
+
+
+def test_genus_survivor_shapes_equal_the_checked_ring_builders(monkeypatch):
+    """The search builds its survivors' shapes with no argument checks; each
+    equals the checked builder's: an LT survivor's ring exits at offsets 0 and
+    d - 2, a c4 survivor's through-cycle has length d.  Rendering the report
+    as text expands no survivor's arcs."""
+    for g in range(5, 12):
+        for s in genus_candidates(g, 4).survivors:
+            d, a = s.info["d"], s.info["a"]
+            if s.info["family"] == "lt":
+                assert s.shape == ring_shape((a, 2 * d - a), (0, d - 2)), s.info
+            else:
+                assert s.shape == ring_shape_with_through(a, d), s.info
+    expanded = []
+    arcs = Shape.arcs
+
+    def counting(shape):
+        expanded.append(shape)
+        return arcs(shape)
+
+    monkeypatch.setattr(Shape, "arcs", counting)
+    report = genus_candidates(8, 4)
+    assert report.render_text() and report.survivors
+    assert expanded == []
 
 
 def test_verify_sweeps_build_grids_only_for_primitivity_checks(monkeypatch):
