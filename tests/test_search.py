@@ -480,11 +480,12 @@ def test_genus_candidates_builds_digraphs_only_when_read(monkeypatch):
     assert len(built) == len(report.survivors)
 
 
-def test_genus_survivor_shapes_equal_the_checked_ring_builders(monkeypatch):
-    """The search builds its survivors' shapes with no argument checks; each
-    equals the checked builder's: an LT survivor's ring exits at offsets 0 and
-    d - 2, a c4 survivor's through-cycle has length d.  Rendering the report
-    as text expands no survivor's arcs."""
+def test_genus_survivor_shapes_equal_the_checked_ring_shapes(monkeypatch):
+    """The search makes its survivors' shapes with no argument checks; each
+    equals the one that ``ring_shape`` or ``ring_shape_with_through`` gives:
+    an LT survivor's ring exits at offsets 0 and d - 2, a c4 survivor's
+    through-cycle has length d.  Rendering the report as text expands no
+    survivor's arcs."""
     for g in range(5, 12):
         for s in genus_candidates(g, 4).survivors:
             d, a = s.info["d"], s.info["a"]
