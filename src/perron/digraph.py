@@ -71,10 +71,8 @@ class MultiDigraph:
             )
         grid = [[0] * m for _ in range(m)]
         for e in edges:
-            i, j = e[0], e[1]
+            i, j = _edge_endpoints(m, e[:2])
             k = e[2] if len(e) > 2 else 1
-            if not (0 <= i < m and 0 <= j < m):
-                raise ParameterRangeError(f"edge ({i}, {j}) outside vertex range 0..{m - 1}")
             grid[i][j] += k
         return cls.from_rows(grid)
 
@@ -98,8 +96,7 @@ class MultiDigraph:
 
     def with_edge(self, i: int, j: int) -> "MultiDigraph":
         """A copy with one more parallel edge i -> j."""
-        if not (0 <= i < self.m and 0 <= j < self.m):
-            raise ParameterRangeError(f"edge ({i}, {j}) outside vertex range 0..{self.m - 1}")
+        i, j = _edge_endpoints(self.m, (i, j))
         grid = [list(row) for row in self.rows]
         grid[i][j] += 1
         return MultiDigraph._from_grid(grid)
@@ -114,6 +111,17 @@ class MultiDigraph:
             for j in range(m):
                 grid[perm[i]][perm[j]] = self.rows[i][j]
         return MultiDigraph._from_grid(grid)
+
+
+def _edge_endpoints(m: int, edge) -> tuple[int, int]:
+    """``edge`` as a pair (i, j) of ``operator.index`` vertices in 0..m-1."""
+    try:
+        i, j = map(index, edge)
+    except (TypeError, ValueError):
+        raise ParameterRangeError(f"an edge is a pair of integer vertices, got {edge!r}") from None
+    if not (0 <= i < m and 0 <= j < m):
+        raise ParameterRangeError(f"edge ({i}, {j}) outside vertex range 0..{m - 1}")
+    return i, j
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import accumulate, chain
 
 from .digraph import MultiDigraph
@@ -74,16 +74,6 @@ class Shape:
             for sc, so, tc, to in self.attachments
         ]
         return starts, extra
-
-    def _layout(self) -> tuple[list[int], list[tuple[int, int]]]:
-        """Each vertex's successor on its cycle, and the (u, v) of each
-        attachment edge (see ``_attachment_edges``)."""
-        starts, extra = self._attachment_edges()
-        succ = []
-        for s, l in zip(starts, self.cycle_lengths):
-            succ.extend(range(s + 1, s + l))
-            succ.append(s)
-        return succ, extra
 
     def _core(self):
         """The smoothed core of ``build_shape_nc(self)``, read with no grid:
@@ -182,20 +172,13 @@ class Shape:
         return " ".join(parts)
 
 
-# the memo of ``_plain_steps`` for the largest m asked so far
-_plain_chain = ("", (0,))
-
-
+@cache
 def _plain_steps(m: int) -> tuple[str, tuple[int, ...]]:
-    """The chain text "1->2 2->3 ... M->M+1 " for some M >= m and where each
-    label starts: the labels of rows u..w-1 are ``text[starts[u] : starts[w] - 1]``.
-    Built on first use; a larger m rebuilds it at least twice as long."""
-    global _plain_chain
-    text, starts = _plain_chain
-    if len(starts) <= m:
-        labels = [f"{u}->{u + 1} " for u in range(1, max(m, 2 * len(starts)) + 1)]
-        text, starts = _plain_chain = "".join(labels), (0, *accumulate(map(len, labels)))
-    return text, starts
+    """The chain text "1->2 2->3 ... m->m+1 ", one label per row of an
+    m-vertex shape, and where each label starts: the labels of rows u..w-1
+    are ``text[starts[u] : starts[w] - 1]``.  Built once per m, on first use."""
+    labels = [f"{u}->{u + 1} " for u in range(1, m + 1)]
+    return "".join(labels), (0, *accumulate(map(len, labels)))
 
 
 @dataclass(frozen=True)
@@ -388,11 +371,13 @@ def build_shape_22(a1: int, a2: int, p: int, q: int) -> MultiDigraph:
 
 def build_shape_nc(shape: Shape) -> MultiDigraph:
     """Concrete digraph for a shape: cycle blocks plus attachment edges."""
-    succ, extra = shape._layout()
-    m = len(succ)
+    starts, extra = shape._attachment_edges()
+    m = starts[-1]
     grid = [[0] * m for _ in range(m)]
-    for row, j in zip(grid, succ):
-        row[j] = 1
+    for s, e in zip(starts, starts[1:]):
+        for u in range(s, e - 1):
+            grid[u][u + 1] = 1
+        grid[e - 1][s] = 1
     for i, j in extra:
         grid[i][j] += 1
     return MultiDigraph._from_grid(grid)

@@ -29,7 +29,7 @@ from functools import partial
 from math import floor, frexp, gcd, isfinite
 
 from .charpoly import _edge_placement_coeffs, char_poly_ct
-from .digraph import MultiDigraph, complexity, is_primitive, is_strongly_connected
+from .digraph import MultiDigraph, _edge_endpoints, complexity, is_primitive, is_strongly_connected
 from .errors import (
     Inconclusive,
     NoRootAtLeastOne,
@@ -556,9 +556,7 @@ def monotonicity_witness(
     """
     if not is_strongly_connected(d):
         raise ParameterRangeError("monotonicity_witness requires a strongly connected digraph")
-    i, j = extra_edge
-    if not (0 <= i < d.m and 0 <= j < d.m):
-        raise ParameterRangeError(f"edge ({i}, {j}) outside vertex range 0..{d.m - 1}")
+    i, j = _edge_endpoints(d.m, extra_edge)
     p1 = char_poly_ct(d)
     p2 = IntPolynomial(_edge_placement_coeffs(d.rows, p1.coeffs)[i][j])
     if p1 == p2:

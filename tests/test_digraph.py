@@ -209,6 +209,11 @@ def test_with_edge_and_permuted_validation():
     assert d.with_edge(0, 0).mult(0, 0) == 1
     with pytest.raises(ParameterRangeError):
         d.with_edge(3, 0)
+    for i, j in (("0", 1), (0.5, 1), (1, None)):
+        with pytest.raises(ParameterRangeError, match="pair of integer vertices"):
+            d.with_edge(i, j)
+        with pytest.raises(ParameterRangeError, match="pair of integer vertices"):
+            MultiDigraph.from_edges(3, [(i, j)])
     with pytest.raises(ParameterRangeError):
         d.permuted([0, 0, 1])
 

@@ -311,13 +311,12 @@ def test_lt_realizations_primitive_iff_coprime():
             assert is_primitive(dg) == (gcd(a, d) == 1)
 
 
-def test_shape_arcs_match_the_built_grid(monkeypatch, rng):
+def test_shape_arcs_match_the_built_grid(rng):
     """``Shape.arcs`` against the built grid and a direct count of the cycle
     arcs and attachment edges, and ``Shape._arc_text`` against the labels of
-    those arcs, on swept rings, genus survivors and random shapes; the shared
-    chain text starts empty here, so it is built and then grown."""
-    monkeypatch.setattr(perron.families, "_plain_chain", ("", (0,)))
-    chain_sizes = set()
+    those arcs, on swept rings, genus survivors and random shapes; the chain
+    texts start uncached here, so each m's text is built by this test."""
+    perron.families._plain_steps.cache_clear()
 
     def check(shape):
         # reference: count each cycle arc and each attachment edge directly
@@ -333,7 +332,7 @@ def test_shape_arcs_match_the_built_grid(monkeypatch, rng):
         assert arcs == list(build_shape_nc(shape).edges()) == expected
         labels = (f"{i + 1}->{j + 1}" + (f"x{k}" if k > 1 else "") for i, j, k in arcs)
         assert shape._arc_text() == " ".join(labels), shape
-        chain_sizes.add(len(perron.families._plain_chain[1]))
+        assert len(perron.families._plain_steps(shape.m)[1]) == shape.m + 1
 
     swept = 0
     for n in range(1, 5):
@@ -377,10 +376,6 @@ def test_shape_arcs_match_the_built_grid(monkeypatch, rng):
         )
         seen["bare cycle"] += len({a[0] for a in attachments} | {a[2] for a in attachments}) < n
     assert min(seen.values()) > 300, seen
-    # an m past every chain so far, so that it grows once more
-    largest = max(chain_sizes)
-    check(ring_shape((largest, 3, largest), (1, 2, largest - 1)))
-    assert len(chain_sizes) > 2 and max(chain_sizes) > largest
 
 
 def test_shape_core_matches_the_smoothed_grid(rng):

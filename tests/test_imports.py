@@ -38,6 +38,27 @@ def test_library_modules_read_every_import():
         assert _unused_imports(path.read_text()) == [], path.name
 
 
+def _global_statements(source: str) -> list[str]:
+    """The names that ``global`` statements of ``source`` rebind, at any depth."""
+    tree = ast.parse(source)
+    return [name for node in ast.walk(tree) if isinstance(node, ast.Global) for name in node.names]
+
+
+def test_guard_finds_a_global_statement():
+    source = "memo = {}\ndef f():\n    def g():\n        global memo, n\n    return g\n"
+    assert _global_statements(source) == ["memo", "n"]
+    assert _global_statements("memo = {}\ndef f():\n    return memo\n") == []
+
+
+def test_library_modules_rebind_no_global():
+    """Module state stays as import leaves it: a memo is a ``functools.cache``,
+    not a module variable that a function rebinds."""
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    for path in modules:
+        assert _global_statements(path.read_text()) == [], path.name
+
+
 def test_genus_search_imports_no_general_root_route():
     """``search`` decides ring candidates by ring signs (``families._ring_root``),
     so it needs neither the general bracket nor a root count."""

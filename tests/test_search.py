@@ -334,7 +334,7 @@ def test_odd_ring_sweep_requires_p1_minus_one_and_neither_class(monkeypatch):
         ("x^2 - 3x + 1", r"^\(3,3\) ring placement on m=3 misclassified$"),
     ):
         monkeypatch.setattr(
-            perron.search, "_census_checks", lambda d, cores, p=parse_polynomial(poly): p
+            perron.search, "_census_checks", lambda d, core, cores, p=parse_polynomial(poly): p
         )
         with pytest.raises(CounterexampleError, match=message):
             verify_case_odd_diagonal(1, 6)
@@ -386,6 +386,32 @@ def test_each_labelled_core_is_walked_once_per_sweep(monkeypatch):
             report = sweep()
             assert report.total == placements
             assert calls == cores < report.total
+
+
+def test_each_checked_placement_is_smoothed_once(monkeypatch):
+    """A sweep smooths each chord placement and each ring class's first
+    placement once: the class's cycle check and its census share one core."""
+    calls = 0
+    core = Shape._core
+
+    def counting(shape):
+        nonlocal calls
+        calls += 1
+        return core(shape)
+
+    chords = sum(
+        len(list(_ring_shapes(1, m))) + len(list(_chord_shapes(m))) for m in range(1, 9)
+    )
+    c2_classes = sum(len(list(_ring_classes(2, m))) for m in range(1, 9))
+    odd_classes = sum(len(list(_ring_classes(5, m))) for m in range(5, 10))
+    monkeypatch.setattr(Shape, "_core", counting)
+    for sweep, checked in (
+        (lambda: verify_case_c_le_2(8), chords + c2_classes),
+        (lambda: verify_case_odd_diagonal(2, 9), odd_classes),
+    ):
+        calls = 0
+        sweep()
+        assert calls == checked
 
 
 def test_ring_classes_partition_the_ring_placements():

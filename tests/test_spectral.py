@@ -287,6 +287,12 @@ def test_monotonicity_requires_strong_connectivity():
         monotonicity_witness(d, (1, 0))
 
 
+@pytest.mark.parametrize("edge", [(0.5, 1), (1, 2, 3), (1,), ("0", 1), 1, (3, 0)])
+def test_monotonicity_witness_rejects_a_malformed_edge(edge):
+    with pytest.raises(ParameterRangeError, match="integer vertices|outside vertex range"):
+        monotonicity_witness(cycle_digraph(3), edge)
+
+
 def test_lt_family_root_monotonicity():
     """Certified bracket comparison of the family roots for d <= 12.
 
