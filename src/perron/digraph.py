@@ -59,7 +59,7 @@ class MultiDigraph:
 
     @classmethod
     def from_edges(cls, m: int, edges) -> "MultiDigraph":
-        """Build from (i, j) or (i, j, k) entries, 0-based, k parallel edges.
+        """Build from (i, j) or (i, j, k) entries, 0-based, k >= 1 parallel edges.
 
         The vertex count may come from a file, so it is capped before the
         m x m grid is allocated: no operation supports more vertices than the
@@ -72,7 +72,12 @@ class MultiDigraph:
         grid = [[0] * m for _ in range(m)]
         for e in edges:
             i, j = _edge_endpoints(m, e[:2])
-            k = e[2] if len(e) > 2 else 1
+            try:
+                k = index(e[2]) if len(e) > 2 else 1
+            except TypeError:
+                k = 0  # refused below with the k < 1 entries
+            if k < 1:
+                raise ParameterRangeError(f"edge multiplicities must be integers >= 1, got {e!r}")
             grid[i][j] += k
         return cls.from_rows(grid)
 

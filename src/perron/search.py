@@ -594,13 +594,16 @@ def _ring_placements(m: int, c: int, n: int):
     last extra edge.
 
     Checks the placement estimate against the cap before building anything
-    (summing only until it passes the cap), then yields ``(dg, slots)`` for
-    each ring of n disjoint cycles plus a prefix of the c - n extra edges: the
-    last edge takes each slot in ``slots`` (slot s is the edge s // m -> s % m),
-    which walks the ``combinations_with_replacement`` order of all extra
-    edges.  With no extra edge, ``slots`` is None and ``dg`` is the placement
-    itself.  Every placement is strongly connected: the ring's cycles and its
-    edge from each cycle to the next already are, and extra edges keep it so.
+    (summing only until it passes the cap), then yields ``(lengths, exits, dg,
+    slots)`` for each ring of n disjoint cycles plus a prefix of the c - n
+    extra edges: the last edge takes each slot in ``slots`` (slot s is the
+    edge s // m -> s % m), which walks the ``combinations_with_replacement``
+    order of all extra edges.  With no extra edge, ``slots`` is None and
+    ``dg`` is the placement itself.  A plain ring's polynomial is the closed
+    form ``_ring_polynomial(lengths, n + sum(exits))``, which the verify sweeps
+    check by census on every ring class; a ring plus a prefix has none.  Every
+    placement is strongly connected: the ring's cycles and its edge from each
+    cycle to the next already are, and extra edges keep it so.
 
     Only the rings whose ``(l_k, e_k)`` sequence is the least of its n cyclic
     rotations are built.  A rotated ring is the same ring with its cycle
@@ -641,24 +644,24 @@ def _ring_placements(m: int, c: int, n: int):
             continue  # a rotation of a ring that is built
         base = build_shape_nc(shape)
         if extra_edges == 0:
-            yield base, None
+            yield lengths, exits, base, None
             continue
         for prefix in itertools.combinations_with_replacement(range(placements), extra_edges - 1):
             if not prefix:
-                yield base, range(placements)
+                yield lengths, exits, base, range(placements)
                 continue
             grid = [list(row) for row in base.rows]
             for s in prefix:
                 i, j = divmod(s, m)
                 grid[i][j] += 1
-            yield MultiDigraph._from_grid(grid), range(prefix[-1], placements)
+            yield lengths, exits, MultiDigraph._from_grid(grid), range(prefix[-1], placements)
 
 
 def _enumerate_shape_classes(m: int, c: int, n: int) -> list[MultiDigraph]:
     """Ring-arrangement sweep: n disjoint cycles joined in a ring, plus
     c - n extra edges placed anywhere, deduped by canonical form."""
     reps: dict[bytes, MultiDigraph] = {}
-    for dg, slots in _ring_placements(m, c, n):
+    for _, _, dg, slots in _ring_placements(m, c, n):
         candidates = [dg] if slots is None else (dg.with_edge(*divmod(s, m)) for s in slots)
         for pl in candidates:
             reps.setdefault(canonical_form(pl), pl)
@@ -673,7 +676,9 @@ def count_realizations(p: IntPolynomial, n: int, c: int) -> int:
     compares each placement's polynomial with p first and labels only the
     matches: ``_edge_placement_matches`` drops each last-edge slot at the first
     coefficient where the rank-one update of its ring-plus-prefix polynomial
-    differs from p.
+    differs from p.  A plain ring base (c - n <= 1) takes its polynomial from
+    the closed form, which the verify sweeps check by census on every ring
+    class; a ring plus a prefix of extra edges takes ``char_poly_ct``.
     """
     m = p.degree
     if not 1 <= m <= FULL_ENUMERATION_MAX_M:
@@ -682,8 +687,8 @@ def count_realizations(p: IntPolynomial, n: int, c: int) -> int:
     if p.b(1) > 0 or p.coeffs[0] != 1:
         return 0  # every digraph's polynomial is monic with b_1 = -trace(T) <= 0
     forms = set()
-    for dg, slots in _ring_placements(m, c, n):
-        q = char_poly_ct(dg)
+    for lengths, exits, dg, slots in _ring_placements(m, c, n):
+        q = _ring_polynomial(lengths, n + sum(exits)) if c - n <= 1 else char_poly_ct(dg)
         if slots is None:
             if q == p:
                 forms.add(canonical_form(dg))
@@ -834,9 +839,10 @@ def _ring_plus_one_tabulation(window_lo: int, window_hi: int) -> list[str]:
     palindromic = 0
     doubled_edge_palindromic = 0
     for m in range(window_lo, window_hi + 1):
-        for _, _, shape in _ring_shapes(4, m):
+        for lengths, exits, shape in _ring_shapes(4, m):
             base = build_shape_nc(shape)
-            polys = _edge_placement_coeffs(base.rows, char_poly_ct(base).coeffs)
+            ring = _ring_polynomial(lengths, 4 + sum(exits)).coeffs
+            polys = _edge_placement_coeffs(base.rows, ring)
             for i in range(m):
                 for j in range(m):
                     total += 1

@@ -244,6 +244,20 @@ def test_public_constructors_reject_bad_grids():
     assert MultiDigraph.from_rows([[True, 0], [0, 2]]).rows == ((1, 0), (0, 2))
 
 
+def test_from_edges_refuses_a_multiplicity_below_one():
+    """Each entry's k is checked before it reaches the grid, so a negative k
+    cannot cancel earlier parallel edges and a zero k is not dropped."""
+    for edges in (
+        [(0, 1, 2), (0, 1, -1), (1, 0)],
+        [(0, 1, 0), (1, 0)],
+        [(0, 1, 1.0), (1, 0)],
+        [(0, 1, "2"), (1, 0)],
+    ):
+        with pytest.raises(ParameterRangeError, match="multiplicities"):
+            MultiDigraph.from_edges(2, edges)
+    assert MultiDigraph.from_edges(2, [(0, 1, 2), (0, 1), (1, 0, True)]).rows == ((0, 3), (1, 0))
+
+
 def test_internal_builders_keep_the_grid_invariant():
     """Digraphs the library builds without revalidation hold the same square
     grid of non-negative ints that full validation would accept."""

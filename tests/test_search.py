@@ -224,6 +224,30 @@ def test_count_realizations_matches_brute_force():
                     assert count_realizations(p, n, c) == classes[p], (p, n, c)
 
 
+def test_count_realizations_counts_every_realized_polynomial(monkeypatch):
+    """At the benchmark's count degrees and every m <= 6 of the one-edge
+    shapes, each polynomial that the shape enumeration realizes is counted at
+    its number of classes; a plain ring base (c - n <= 1) takes its polynomial
+    from the closed form, so no cycle census runs."""
+    census_calls = 0
+
+    def counting(d):
+        nonlocal census_calls
+        census_calls += 1
+        return char_poly_ct(d)
+
+    monkeypatch.setattr(perron.search, "char_poly_ct", counting)
+    for n, c, ms in ((2, 3, (4, 5)), (1, 2, range(1, 7)), (2, 2, range(1, 7))):
+        for m in ms:
+            classes = Counter(char_poly_ct(d) for d in enumerate_digraphs(m, c, n_cycles=n))
+            for p, realized in classes.items():
+                assert count_realizations(p, n, c) == realized, (p, n, c)
+    assert census_calls == 0
+    # a ring plus a prefix of extra edges has no closed form and keeps the census
+    count_realizations(parse_polynomial("x^3 - 1"), 1, 3)
+    assert census_calls > 0
+
+
 def test_shape_classes_equal_the_classes_of_every_rotation():
     """The shape enumeration builds one ring per class of cyclic rotations;
     its classes are those of every ring, rotations included, times every
@@ -324,6 +348,8 @@ def test_every_ring_placement_has_the_ring_polynomial():
             for lengths, exits, shape in _ring_shapes(n, m):
                 dg = build_shape_nc(shape)
                 assert char_poly_ct(dg) == ring_polynomial(lengths, exits), (lengths, exits)
+                # count_realizations takes a plain ring's polynomial from this closed form
+                assert _ring_polynomial(lengths, n + sum(exits)) == ring_polynomial(lengths, exits)
                 placements += 1
     assert placements == 3587
 
