@@ -8,6 +8,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -179,12 +180,13 @@ def _cmd_hamsong(args, out):
 
 
 def run(argv, out=None, err=None) -> int:
-    """Dispatch a CLI invocation; returns the process exit code."""
+    """Dispatch a CLI invocation (help to ``out``, errors to ``err``); returns the exit code."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):  # help, usage errors
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
 

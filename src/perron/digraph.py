@@ -71,6 +71,8 @@ class MultiDigraph:
             )
         grid = [[0] * m for _ in range(m)]
         for e in edges:
+            if len(e) > 3:
+                raise ParameterRangeError(f"an edge entry is (i, j) or (i, j, k), got {e!r}")
             i, j = _edge_endpoints(m, e[:2])
             try:
                 k = index(e[2]) if len(e) > 2 else 1

@@ -197,8 +197,9 @@ def _ring_shapes(n: int, m: int):
 
 
 def _chord_shapes(m: int):
-    """All (1,2) placements up to rotation, as ``(case, shape)``: the one-cycle
-    ring with chord s1 -> 0, plus a free edge s2 -> t2.
+    """All (1,2) placements rotated to put a chord into 0, as ``(case, shape)``:
+    the one-cycle ring with chord s1 -> 0, plus a free edge s2 -> t2, in
+    (s1, s2, t2) order; a placement and its ``_rotation_mate`` both appear.
 
     case is 'disjoint', 'plain' (the two chord cycles intersect, chords do not
     interact), or 'crossing' (a cycle through both chords exists).  The chord
@@ -215,6 +216,13 @@ def _chord_shapes(m: int):
                 else:
                     case = "plain"
                 yield case, Shape._unchecked((m,), ring.attachments + ((0, s2, 0, t2),))
+
+
+def _rotation_mate(m: int, s1: int, s2: int, t2: int) -> tuple[int, int, int]:
+    """(s1, s2, t2) relabelled by v -> v - t2 (mod m): the same digraph, its
+    free edge now the chord into 0.  An involution, fixed only at t2 = 0 with
+    s2 = s1 and at 2 t2 = m with s2 = s1 + t2 (mod m)."""
+    return (s2 - t2) % m, (s1 - t2) % m, -t2 % m
 
 
 def _ring_classes(n: int, m: int):
@@ -288,8 +296,8 @@ def _ring_class_census(lengths, exits, ring: Shape, cores: dict) -> IntPolynomia
 
 
 def _check_placement(key: str, m: int, p: IntPolynomial, instances: int, p1_counts: dict, p1: int):
-    """Check the polynomial of one placement, or of each of the ``instances``
-    placements of a ring class, that must be neither palindromic nor
+    """Check the polynomial of ``instances`` placements (a ring class, two
+    rotation mates or one placement), that must be neither palindromic nor
     antipalindromic: p(1) (tallied ``instances`` times in ``p1_counts``) must
     be ``p1`` and the class must be neither."""
     value = eval_at_one(p)
@@ -316,9 +324,11 @@ def verify_case_c_le_2(m_max: int) -> SearchReport:
     The (2,2) rings are checked once per cycle-length class of
     ``_ring_classes``, on its first placement, which counts for the class's
     size in the totals and in its palindromic class's instances; primitivity
-    too depends only on the class (gcd(a1, a2, t)).  The (1,1) and (1,2)
-    chord placements are checked one by one: which of their cycles meet is
-    the case analysis under test, so grouping them would assume it.
+    too depends only on the class (gcd(a1, a2, t)).  Chord placements are
+    not grouped by which cycles meet (the analysis under test), but a (1,2)
+    placement counts for its ``_rotation_mate``, one digraph relabelled with
+    the same case label (of the unordered pair of extra edges), and is
+    skipped when that mate comes first.
     """
     if not 1 <= m_max <= FULL_ENUMERATION_MAX_M:
         raise ParameterRangeError(f"verify_case_c_le_2 needs 1 <= m_max <= {FULL_ENUMERATION_MAX_M}")
@@ -344,10 +354,16 @@ def verify_case_c_le_2(m_max: int) -> SearchReport:
             ((f"(1,2) {case}", shape) for case, shape in _chord_shapes(m)),
         )
         for key, shape in chords:
-            total += 1
+            instances = 1
+            if key != "(1,1)":  # the first of two (1,2) rotation mates counts for both
+                (_, s1, _, _), (_, s2, _, t2) = shape.attachments
+                if (mate := _rotation_mate(m, s1, s2, t2)) < (s1, s2, t2):
+                    continue
+                instances += mate != (s1, s2, t2)
+            total += instances
             p = _census_checks(shape, shape._core(), cores)
-            _check_placement(key, m, p, 1, p1_distribution, expected_p1[key])
-            eliminated["neither_class"] += 1
+            _check_placement(key, m, p, instances, p1_distribution, expected_p1[key])
+            eliminated["neither_class"] += instances
 
         for (a1, a2), (e1, e2), size, ring in _ring_classes(2, m):
             total += size

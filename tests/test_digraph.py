@@ -258,6 +258,14 @@ def test_from_edges_refuses_a_multiplicity_below_one():
     assert MultiDigraph.from_edges(2, [(0, 1, 2), (0, 1), (1, 0, True)]).rows == ((0, 3), (1, 0))
 
 
+def test_from_edges_refuses_an_entry_of_more_than_three_fields():
+    """An extra field is refused, not silently dropped."""
+    for edges in ([(0, 1, 1, 99), (1, 0)], [(0, 1), (1, 0, 1, 1, 1)], [(0, 1, 1, None)]):
+        with pytest.raises(ParameterRangeError, match=r"\(i, j\) or \(i, j, k\)"):
+            MultiDigraph.from_edges(2, edges)
+    assert MultiDigraph.from_edges(2, [(0, 1, 1), (1, 0)]).rows == ((0, 1), (1, 0))
+
+
 def test_internal_builders_keep_the_grid_invariant():
     """Digraphs the library builds without revalidation hold the same square
     grid of non-negative ints that full validation would accept."""

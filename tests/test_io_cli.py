@@ -327,9 +327,38 @@ def test_cli_runs_alike_through_one_process(capsys):
         for argv in calls:
             result = (invoke(*argv), capsys.readouterr())
             assert first.setdefault(argv, result) == result
-    assert first[("frobnicate",)][0][0] == 2 and "usage: perron" in first[("frobnicate",)][1].err
+    assert first[("frobnicate",)][0][0] == 2 and "usage: perron" in first[("frobnicate",)][0][2]
     assert first[("root", "x^2 + 1")][0][0] == 1
-    assert first[("count", "--help")][0][0] == 0 and "--n N" in first[("count", "--help")][1].out
+    assert first[("count", "--help")][0][0] == 0 and "--n N" in first[("count", "--help")][0][1]
+    assert all(captured == ("", "") for _, captured in first.values())
+
+
+def test_cli_usage_errors_and_help_go_to_the_given_streams(capsys):
+    """``run`` writes a usage error to its ``err`` and ``--help`` to its
+    ``out``; the process's own stdout and stderr stay empty."""
+    for argv, message in (
+        (["root"], "error: usage: perron root: the following arguments are required: polynomial\n"),
+        (
+            ["search", "--genus", "5", "--max-c", "4", "--format", "xml"],
+            "error: usage: perron search: argument --format: invalid choice: 'xml' "
+            "(choose from 'text', 'json')\n",
+        ),
+    ):
+        assert invoke(*argv) == (2, "", message)
+    code, out, err = invoke("verify", "--help")
+    assert code == 0 and out.startswith("usage: perron verify") and err == ""
+    assert capsys.readouterr() == ("", "")
+
+
+def test_cli_main_writes_usage_errors_and_help_to_the_process_streams(capsys, monkeypatch):
+    for argv, code, stream in ((["root"], 2, "err"), (["count", "--help"], 0, "out")):
+        monkeypatch.setattr(perron.cli.sys, "argv", ["perron", *argv])
+        with pytest.raises(SystemExit) as exc:
+            perron.cli.main()
+        assert exc.value.code == code
+        captured = capsys.readouterr()
+        assert getattr(captured, stream).startswith(("error: usage: perron root", "usage: perron count"))
+        assert getattr(captured, {"err": "out", "out": "err"}[stream]) == ""
 
 
 def test_cli_hamsong(fig1_path):

@@ -11,7 +11,7 @@ import perron.charpoly
 import perron.polynomial
 import perron.search
 import perron.spectral
-from perron.charpoly import _census_of_core, char_poly_ct
+from perron.charpoly import _census_of_core, char_poly_ct, char_poly_oracle
 from perron.digraph import (
     MultiDigraph,
     canonical_form,
@@ -37,6 +37,7 @@ from perron.search import (
     ENUMERATION_CAP_DEFAULT,
     FIGURE4_POLYNOMIAL,
     FIGURE4_SEVEN_CYCLE,
+    FULL_ENUMERATION_MAX_M,
     count_realizations,
     enumerate_digraphs,
     genus_candidates,
@@ -48,6 +49,7 @@ from perron.search import (
     _partitions_le,
     _ring_classes,
     _ring_shapes,
+    _rotation_mate,
     _subdivide,
     _weak_compositions,
     _decide_candidate,
@@ -366,11 +368,23 @@ def test_odd_ring_sweep_requires_p1_minus_one_and_neither_class(monkeypatch):
             verify_case_odd_diagonal(1, 6)
 
 
+def placement(shape):
+    """The (s1, s2, t2) of a (1,2) chord placement's shape."""
+    (_, s1, _, _), (_, s2, _, t2) = shape.attachments
+    return s1, s2, t2
+
+
+def first_mates(m):
+    """The (1,2) placements that the c2 sweep checks: each that comes no later
+    in the sweep than its rotation mate."""
+    return [s for _, s in _chord_shapes(m) if placement(s) <= _rotation_mate(m, *placement(s))]
+
+
 def test_each_labelled_core_is_walked_once_per_sweep(monkeypatch):
     """A sweep walks the cycles of each distinct labelled core that it checks
-    once: those of every chord placement and of the first placement of each
-    ring class.  It keeps no cores after it returns: a second run walks them
-    all again."""
+    once: those of every (1,1) placement, of the first of each pair of (1,2)
+    rotation mates and of the first placement of each ring class.  It keeps
+    no cores after it returns: a second run walks them all again."""
     calls = 0
     walk = perron.charpoly._weighted_cycles
 
@@ -395,7 +409,7 @@ def test_each_labelled_core_is_walked_once_per_sweep(monkeypatch):
         for m in range(1, 7)
         for s in itertools.chain(
             (s for *_, s in _ring_shapes(1, m)),
-            (s for _, s in _chord_shapes(m)),
+            first_mates(m),
             (s for *_, s in _ring_classes(2, m)),
         )
     ]
@@ -415,8 +429,9 @@ def test_each_labelled_core_is_walked_once_per_sweep(monkeypatch):
 
 
 def test_each_checked_placement_is_smoothed_once(monkeypatch):
-    """A sweep smooths each chord placement and each ring class's first
-    placement once: the class's cycle check and its census share one core."""
+    """A sweep smooths each (1,1) placement, the first of each pair of (1,2)
+    rotation mates and each ring class's first placement once: the class's
+    cycle check and its census share one core."""
     calls = 0
     core = Shape._core
 
@@ -425,9 +440,7 @@ def test_each_checked_placement_is_smoothed_once(monkeypatch):
         calls += 1
         return core(shape)
 
-    chords = sum(
-        len(list(_ring_shapes(1, m))) + len(list(_chord_shapes(m))) for m in range(1, 9)
-    )
+    chords = sum(len(list(_ring_shapes(1, m))) + len(first_mates(m)) for m in range(1, 9))
     c2_classes = sum(len(list(_ring_classes(2, m))) for m in range(1, 9))
     odd_classes = sum(len(list(_ring_classes(5, m))) for m in range(5, 10))
     monkeypatch.setattr(Shape, "_core", counting)
@@ -438,6 +451,52 @@ def test_each_checked_placement_is_smoothed_once(monkeypatch):
         calls = 0
         sweep()
         assert calls == checked
+
+
+def test_rotation_mates_are_one_digraph_with_one_case_label():
+    """On every m the c2 sweep admits, the (1,2) placements come in sweep
+    order (s1, s2, t2), and relabelling each vertex v as v - t2 (mod m) turns
+    a placement's edge multiset into its rotation mate's, which has the same
+    case label; the pairing is an involution whose fixed points are the
+    doubled chord (t2 = 0, s2 = s1) and the half-turns (2 t2 = m, s2 = s1 + t2)."""
+    for m in range(1, FULL_ENUMERATION_MAX_M + 1):
+        chords = {placement(shape): (case, shape) for case, shape in _chord_shapes(m)}
+        assert list(chords) == sorted(itertools.product(range(m), repeat=3)), m
+        fixed = 0
+        for (s1, s2, t2), (case, shape) in chords.items():
+            mate = _rotation_mate(m, s1, s2, t2)
+            assert _rotation_mate(m, *mate) == (s1, s2, t2)
+            own = (t2 == 0 and s2 == s1) or (2 * t2 == m and s2 == (s1 + t2) % m)
+            assert (mate == (s1, s2, t2)) == own, (m, s1, s2, t2)
+            fixed += own
+            mate_case, mate_shape = chords[mate]
+            assert mate_case == case, (m, s1, s2, t2)
+            rotated = Counter(
+                {((i - t2) % m, (j - t2) % m): k for i, j, k in build_shape_nc(shape).edges()}
+            )
+            assert rotated == Counter({(i, j): k for i, j, k in build_shape_nc(mate_shape).edges()})
+        assert fixed == m * (2 - m % 2)
+
+
+def test_c2_sweep_tallies_match_every_chord_placements_own_oracle_polynomial():
+    """The c2 sweep's total and its p(1) tally of the (1,1) and (1,2) chord
+    placements equal those read from each placement's Berkowitz polynomial,
+    the digraph built directly; the (2,2) placements add sum a1 (m - a1)."""
+    total, p1_counts = 0, Counter()
+    for m in range(1, 10):
+        base = cycle_digraph(m)
+        chords = [base.with_edge(s1, 0) for s1 in range(m)]
+        chords += [
+            base.with_edge(s1, 0).with_edge(s2, t2)
+            for s1, s2, t2 in itertools.product(range(m), repeat=3)
+        ]
+        p1_counts.update(sum(char_poly_oracle(d).coeffs) for d in chords)
+        total += len(chords) + sum(a1 * (m - a1) for a1 in range(1, m))
+        report = verify_case_c_le_2(m)
+        label, tally = report.notes[0].split(": ", 1)
+        assert label == "p(1) distribution over all swept digraphs"
+        assert report.total == total, m
+        assert tally == ", ".join(f"{v}: {p1_counts[v]}" for v in sorted(p1_counts)), m
 
 
 def test_ring_classes_partition_the_ring_placements():
